@@ -87,25 +87,22 @@ def run_synthesis(
     policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
     embedding = None
 
-    if method == "esop":
-        work = table
-        if dc_minimize:
+    if method in ("esop", "esop-rtt"):
+        mode = sim.MODE_PRESERVE
+        if method == "esop":
+            check_spec = pla.expand(table, partial=partial)
+            if dc_minimize:
+                cube_list = esop.spec_to_esop(embed.resolve_dontcares(check_spec, policy))
+            else:
+                cube_list = esop.sop_to_esop(table)
+        else:
             resolved = embed.resolve_dontcares(pla.expand(table, partial=partial), policy)
-            work = pla.table_from_spec(resolved)
-        check_spec = pla.expand(table, partial=partial)
-        mode = sim.MODE_PRESERVE
-        cube_list = esop.sop_to_esop(work)
-        if minimize:
-            cube_list = esop.minimize_esop(cube_list, deadline=deadline)
-        raw = esop.esop_to_circuit(cube_list, source=source, method=method)
-    elif method == "esop-rtt":
-        resolved = embed.resolve_dontcares(pla.expand(table, partial=partial), policy)
-        partial_spec, embedding = embed.rtt_embed(resolved)
-        total = _complete(partial_spec, completion)
-        embed.finish_report(embedding, partial_spec, total)
-        check_spec = _reexpress(total, embedding, table.n, table.m)
-        mode = sim.MODE_PRESERVE
-        cube_list = esop.sop_to_esop(pla.table_from_spec(check_spec))
+            partial_spec, embedding = embed.rtt_embed(resolved)
+            total = _complete(partial_spec, completion)
+            embed.finish_report(embedding, partial_spec, total)
+            # The completed permutation's minterms are already a disjoint ESOP.
+            check_spec = _reexpress(total, embedding, table.n, table.m)
+            cube_list = esop.spec_to_esop(check_spec)
         if minimize:
             cube_list = esop.minimize_esop(cube_list, deadline=deadline)
         raw = esop.esop_to_circuit(cube_list, source=source, method=method)

@@ -1,56 +1,78 @@
 """Exclusive-or sum-of-products conversion, minimization and circuit mapping.
 
-Cubes are manipulated per output column as (care, value) integer masks where
-bit n-1-col corresponds to input column col.  Two cubes are at distance d
+Cubes are carried as (care, value, outmask) integer masks from conversion to
+circuit mapping: bit n-1-col of care/value corresponds to input column col
+and bit m-1-j of outmask to output column j.  Two cubes are at distance d
 when their literals differ in d positions; distance-0 pairs cancel under
 XOR, distance-1 pairs merge into a single cube, and distance-2 pairs can be
-rewritten into an equivalent pair that may unlock further merging.
+rewritten into an equivalent pair that may unlock further merging.  Every
+step is deterministic and depends on the order cubes are inserted.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .circuit import POSITIVE, NEGATIVE, Circuit, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import SynthesisTimeout
-from .pla import Cube, PlaTable
+from .pla import Cube, PlaTable, SpecTable
+
+Row = tuple[int, int, int]
 
 
-@dataclass
-class EsopCubeList:
-    """Cubes read with XOR semantics per output column."""
-
-    n: int
-    m: int
-    cubes: list[Cube] = field(default_factory=list)
-
-
-def _masks(inputs: str) -> tuple[int, int]:
-    n = len(inputs)
-    care = value = 0
-    for col, ch in enumerate(inputs):
-        bit = 1 << (n - 1 - col)
-        if ch != "-":
-            care |= bit
-            if ch == "1":
-                value |= bit
-    return care, value
+def _masks(literals: str) -> tuple[int, int]:
+    """(care, value) of a 0/1/- string; '-' reads as 0 in both."""
+    return int(literals.replace("0", "1").replace("-", "0"), 2), int(literals.replace("-", "0"), 2)
 
 
 def _literals(care: int, value: int, n: int) -> str:
-    out = []
-    for col in range(n):
-        bit = 1 << (n - 1 - col)
-        out.append("-" if not care & bit else "1" if value & bit else "0")
-    return "".join(out)
+    return "".join("1" if value >> k & 1 else "0" if care >> k & 1 else "-"
+                   for k in range(n - 1, -1, -1))
 
 
-def _bits_desc(mask: int, n: int):
-    for k in range(n - 1, -1, -1):
-        bit = 1 << k
-        if mask & bit:
-            yield bit
+class _CubeView(Sequence):
+    """Read-only ``list[Cube]`` view of a cube list's rows, rendered on access."""
+
+    def __init__(self, cubes: "EsopCubeList"):
+        self._cubes = cubes
+
+    def __len__(self) -> int:
+        return len(self._cubes.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        care, value, outs = self._cubes.rows[index]
+        return Cube(_literals(care, value, self._cubes.n), format(outs, f"0{self._cubes.m}b"))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+@dataclass(init=False)
+class EsopCubeList:
+    """Cubes read with XOR semantics per output column.
+
+    Each cube is one (care, value, outmask) row.  ``EsopCubeList(n, m,
+    [Cube, ...])`` parses the Cubes once ('-' output marks read as 0), and
+    ``cubes`` renders the rows back as Cubes.
+    """
+
+    n: int
+    m: int
+    rows: list[Row]
+
+    def __init__(self, n: int, m: int, cubes=(), *, rows: list[Row] | None = None):
+        self.n, self.m = n, m
+        if rows is None:
+            rows = [(*_masks(c.inputs), _masks(c.outputs)[1]) for c in cubes]
+        self.rows = rows
+
+    @property
+    def cubes(self) -> _CubeView:
+        return _CubeView(self)
 
 
 def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, int]]:
@@ -60,11 +82,13 @@ def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, 
     if (v ^ ov) & c & oc:
         return [cube]
     pieces = []
-    acc_c, acc_v = c, v
-    for bit in _bits_desc(oc & ~c, max(oc.bit_length(), c.bit_length())):
-        pieces.append((acc_c | bit, acc_v | (0 if ov & bit else bit)))
-        acc_c |= bit
-        acc_v |= ov & bit
+    free = oc & ~c
+    for k in range(free.bit_length() - 1, -1, -1):
+        bit = 1 << k
+        if free & bit:
+            pieces.append((c | bit, v | (0 if ov & bit else bit)))
+            c |= bit
+            v |= ov & bit
     return pieces
 
 
@@ -78,19 +102,14 @@ def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int,
         if care == full:
             # Fully specified rows only collide with identical rows or a
             # dashed cube that covers them.
-            if value in minterms:
-                continue
-            if any(value & dc == dv for dc, dv in dashed):
+            if value in minterms or any(value & dc == dv for dc, dv in dashed):
                 continue
             minterms.add(value)
             result.append(cube)
             continue
         pieces = [cube]
         for ex in result:
-            nxt: list[tuple[int, int]] = []
-            for piece in pieces:
-                nxt.extend(_subtract(piece, ex))
-            pieces = nxt
+            pieces = [p for piece in pieces for p in _subtract(piece, ex)]
             if not pieces:
                 break
         for piece in pieces:
@@ -108,42 +127,46 @@ def sop_to_esop(table: PlaTable) -> EsopCubeList:
     Output don't-care marks are treated as zeros: only '1' marks contribute.
     """
     full = (1 << table.n) - 1
-    columns: list[list[tuple[int, int]]] = []
-    for j in range(table.m):
-        on = [_masks(c.inputs) for c in table.cubes if c.outputs[j] == "1"]
-        columns.append(_disjoint_column(on, full))
+    masks = [_masks(c.inputs) for c in table.cubes]
+    columns = [
+        _disjoint_column([mk for mk, c in zip(masks, table.cubes) if c.outputs[j] == "1"], full)
+        for j in range(table.m)
+    ]
     return _assemble(table.n, table.m, columns)
 
 
+def spec_to_esop(spec: SpecTable) -> EsopCubeList:
+    """One fully specified cube per minterm with a nonzero output value.
+
+    Minterms are already disjoint, so this is ``sop_to_esop`` of the table
+    with one cube per entry, in the same first-appearance order: cubes of
+    output column 0 first, then those new in column 1, and so on.
+    """
+    full = (1 << spec.n) - 1
+    rows = sorted(((full, x, v) for x, (v, _) in sorted(spec.entries.items()) if v),
+                  key=lambda row: -row[2].bit_length())
+    return EsopCubeList(spec.n, spec.m, rows=rows)
+
+
 def _assemble(n: int, m: int, columns: list[list[tuple[int, int]]]) -> EsopCubeList:
-    order: dict[tuple[int, int], int] = {}
+    """Merge per-column cube lists into rows in first-appearance order."""
     marks: dict[tuple[int, int], int] = {}
     for j, cubes in enumerate(columns):
+        bit = 1 << (m - 1 - j)
         for cube in cubes:
-            if cube not in order:
-                order[cube] = len(order)
-                marks[cube] = 0
-            marks[cube] |= 1 << (m - 1 - j)
-    out = []
-    for cube, _ in sorted(order.items(), key=lambda kv: kv[1]):
-        outs = "".join("1" if marks[cube] >> (m - 1 - j) & 1 else "0" for j in range(m))
-        out.append(Cube(_literals(cube[0], cube[1], n), outs))
-    return EsopCubeList(n=n, m=m, cubes=out)
+            marks[cube] = marks.get(cube, 0) | bit
+    return EsopCubeList(n, m, rows=[(c, v, outs) for (c, v), outs in marks.items()])
 
 
 def _merge_literal(bit: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """XOR of two cubes differing only at ``bit``, as a single cube."""
+    """``a`` with its literal at ``bit`` XOR-merged with ``b``'s, which differs.
+
+    0 and 1 merge to '-'; '-' and a constant merge to the opposite constant.
+    """
     ac, av = a
-    a_lit = "-" if not ac & bit else "1" if av & bit else "0"
-    bc = b[0]
-    b_lit = "-" if not bc & bit else "1" if b[1] & bit else "0"
-    pair = {a_lit, b_lit}
-    if pair == {"0", "1"}:
-        return (ac & ~bit, av & ~bit)
-    if pair == {"1", "-"}:
-        return (ac | bit, av & ~bit)
-    # {"0", "-"}
-    return (ac | bit, av | bit)
+    if ac & b[0] & bit:
+        return ac & ~bit, av & ~bit
+    return ac | bit, (av & ~bit) | (bit & ~(av | b[1]))
 
 
 class _ColumnSet:
@@ -152,76 +175,58 @@ class _ColumnSet:
     Inserting a cube cancels it against an identical live cube or merges it
     with a distance-1 partner, repeating until no interaction remains, so
     the set stays saturated under distance-0/1 reduction at all times.
+
+    ``by_key`` maps the key of each (live cube, bit k) to the cube's id: care,
+    value and k packed into one int with care and value bit k forced to 1,
+    so cubes differing only at bit k share it.  Live cubes never share a
+    key, so a cube's twin is the owner of its bit-0 key when that owner
+    equals it.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, cubes: list[tuple[int, int]]):
         self.n = n
         self.live: dict[int, tuple[int, int]] = {}
-        self.by_cube: dict[tuple[int, int], int] = {}
-        self.by_key: dict[tuple[int, int, int], int] = {}
+        self.by_key: dict[int, int] = {}
         self.next_id = 0
         self.dirty = True
+        self.shift = n.bit_length()
+        self.marks = [(1 << k << n | 1 << k) << self.shift | k for k in range(n)]
+        for cube in cubes:
+            self.insert(cube)
 
-    def _keys(self, cube: tuple[int, int]):
-        care, value = cube
-        for k in range(self.n):
-            bit = 1 << k
-            yield (bit, care & ~bit, value & ~bit)
+    def _keys(self, cube: tuple[int, int]) -> list[int]:
+        packed = (cube[0] << self.n | cube[1]) << self.shift
+        return [packed | mark for mark in self.marks]
 
-    def remove(self, cube_id: int) -> None:
+    def remove(self, cube_id: int) -> tuple[int, int]:
         cube = self.live.pop(cube_id)
-        del self.by_cube[cube]
         for key in self._keys(cube):
-            if self.by_key.get(key) == cube_id:
-                del self.by_key[key]
+            del self.by_key[key]
+        return cube
 
     def insert(self, cube: tuple[int, int]) -> None:
         self.dirty = True
-        twin = self.by_cube.get(cube)
-        if twin is not None:
-            self.remove(twin)
-            return
-        for key in self._keys(cube):
-            partner_id = self.by_key.get(key)
-            if partner_id is not None:
-                partner = self.live[partner_id]
-                self.remove(partner_id)
-                self.insert(_merge_literal(key[0], cube, partner))
+        by_key = self.by_key
+        while True:
+            keys = self._keys(cube)
+            for k, key in enumerate(keys):
+                partner_id = by_key.get(key)
+                if partner_id is not None:
+                    break
+            else:
+                cube_id = self.next_id
+                self.next_id += 1
+                self.live[cube_id] = cube
+                by_key.update(dict.fromkeys(keys, cube_id))
                 return
-        cube_id = self.next_id
-        self.next_id += 1
-        self.live[cube_id] = cube
-        self.by_cube[cube] = cube_id
-        for key in self._keys(cube):
-            self.by_key[key] = cube_id
+            partner = self.remove(partner_id)
+            if partner == cube:
+                return
+            cube = _merge_literal(1 << k, cube, partner)
 
-    def ordered(self) -> list[tuple[int, tuple[int, int]]]:
-        return sorted(self.live.items())
-
-    def has_partner(self, cube: tuple[int, int], exclude: set[int]) -> bool:
-        twin = self.by_cube.get(cube)
-        if twin is not None and twin not in exclude:
-            return True
-        for key in self._keys(cube):
-            partner = self.by_key.get(key)
-            if partner is not None and partner not in exclude:
-                return True
-        return False
-
-
-def _diff_bits(a: tuple[int, int], b: tuple[int, int], n: int) -> list[int]:
-    care_diff = a[0] ^ b[0]
-    value_diff = (a[1] ^ b[1]) & a[0] & b[0]
-    mask = care_diff | value_diff
-    return [1 << k for k in range(n) if mask >> k & 1]
-
-
-def _weld(bit: int, keep: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
-    merged = _merge_literal(bit, keep, other)
-    # Replace keep's literal at bit with the merged literal.
-    care = (keep[0] & ~bit) | (merged[0] & bit)
-    value = (keep[1] & ~bit) | (merged[1] & bit)
-    return (care, value)
+    def has_partner(self, cube: tuple[int, int], exclude: tuple[int, int]) -> bool:
+        """Whether a live cube outside ``exclude`` cancels or merges with ``cube``."""
+        return not set(map(self.by_key.get, self._keys(cube))) <= {None, *exclude}
 
 
 def _distance2_sweep(column: _ColumnSet) -> bool:
@@ -230,31 +235,40 @@ def _distance2_sweep(column: _ColumnSet) -> bool:
     A pair is rewritten only when one of the rewritten cubes immediately
     cancels or merges with a third cube, so every commit shrinks the set.
     """
+    column.dirty = False
     n = column.n
-    buckets: dict[tuple[int, int, int, int], list[int]] = {}
-    for cube_id, (care, value) in column.ordered():
-        for i in range(n):
-            for j in range(i + 1, n):
-                erase = (1 << i) | (1 << j)
-                key = (1 << i, 1 << j, care & ~erase, value & ~erase)
-                buckets.setdefault(key, []).append(cube_id)
-    pairs = sorted(
-        {(a, b) for ids in buckets.values() if len(ids) > 1
-         for k, a in enumerate(ids) for b in ids[k + 1:]}
-    )
+    bit_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    shift = len(bit_pairs).bit_length()
+    marks = [((1 << i | 1 << j) << n | 1 << i | 1 << j) << shift | p
+             for p, (i, j) in enumerate(bit_pairs)]
+    # Pair ids as one int, smaller id first; ids ascend in ``live``.
+    stride = column.next_id
+    first: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    pair_set: set[int] = set()
+    for cube_id, (care, value) in column.live.items():
+        packed = (care << n | value) << shift
+        keys = [packed | mark for mark in marks]
+        for key in first.keys() & keys:
+            ids = groups.setdefault(key, [first[key]])
+            pair_set.update(a * stride + cube_id for a in ids)
+            ids.append(cube_id)
+        first.update(dict.fromkeys(keys, cube_id))
+    live = column.live
     changed = False
-    for id_a, id_b in pairs:
-        if id_a not in column.live or id_b not in column.live:
+    for pair in sorted(pair_set):
+        id_a, id_b = divmod(pair, stride)
+        a, b = live.get(id_a), live.get(id_b)
+        if a is None or b is None:
             continue
-        a = column.live[id_a]
-        b = column.live[id_b]
-        bits = _diff_bits(a, b, n)
-        if len(bits) != 2:
-            continue
-        for bit_a, bit_b in ((bits[0], bits[1]), (bits[1], bits[0])):
-            new_a = _weld(bit_a, a, b)
-            new_b = _weld(bit_b, b, a)
-            exclude = {id_a, id_b}
+        # A shared bucket and no shared key: exactly two differing literals.
+        diff = (a[0] ^ b[0]) | ((a[1] ^ b[1]) & a[0] & b[0])
+        low = diff & -diff
+        high = diff ^ low
+        exclude = (id_a, id_b)
+        for bit_a, bit_b in ((low, high), (high, low)):
+            new_a = _merge_literal(bit_a, a, b)
+            new_b = _merge_literal(bit_b, b, a)
             if column.has_partner(new_a, exclude) or column.has_partner(new_b, exclude):
                 column.remove(id_a)
                 column.remove(id_b)
@@ -265,11 +279,8 @@ def _distance2_sweep(column: _ColumnSet) -> bool:
     return changed
 
 
-def minimize_esop(
-    cubes: EsopCubeList,
-    passes: int = 10,
-    deadline: float | None = None,
-) -> EsopCubeList:
+def minimize_esop(cubes: EsopCubeList, passes: int = 10,
+                  deadline: float | None = None) -> EsopCubeList:
     """Shrink an ESOP cube list without changing its XOR semantics.
 
     Each pass saturates distance-0 cancellation and distance-1 merging per
@@ -277,31 +288,17 @@ def minimize_esop(
     after a pass with no reduction or after ``passes`` passes.  The result
     never has more cubes than the input.
     """
-    columns: list[_ColumnSet] = []
-    for j in range(cubes.m):
-        column = _ColumnSet(cubes.n)
-        for cube in cubes.cubes:
-            if cube.outputs[j] == "1":
-                column.insert(_masks(cube.inputs))
-        columns.append(column)
+    columns = [
+        _ColumnSet(cubes.n, [(c, v) for c, v, outs in cubes.rows if outs >> (cubes.m - 1 - j) & 1])
+        for j in range(cubes.m)
+    ]
     for _ in range(max(passes, 1)):
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout("ESOP minimization ran out of time")
-        changed = False
-        for col in columns:
-            if not col.dirty:
-                continue
-            col.dirty = False
-            if _distance2_sweep(col):
-                changed = True
-        if not changed:
+        if not any([_distance2_sweep(col) for col in columns if col.dirty]):
             break
-    result = _assemble(
-        cubes.n, cubes.m, [[c for _, c in col.ordered()] for col in columns]
-    )
-    if len(result.cubes) > len(cubes.cubes):
-        return cubes
-    return result
+    result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
+    return cubes if len(result.rows) > len(cubes.rows) else result
 
 
 def esop_to_circuit(cubes: EsopCubeList, source: str = "", method: str = "esop") -> Circuit:
@@ -313,20 +310,12 @@ def esop_to_circuit(cubes: EsopCubeList, source: str = "", method: str = "esop")
     """
     n, m = cubes.n, cubes.m
     gates = []
-    for cube in cubes.cubes:
-        controls = tuple(
-            (col, POSITIVE if ch == "1" else NEGATIVE)
-            for col, ch in enumerate(cube.inputs)
-            if ch != "-"
-        )
-        for j, mark in enumerate(cube.outputs):
-            if mark == "1":
+    for care, value, outs in cubes.rows:
+        controls = [(col, POSITIVE if value >> (n - 1 - col) & 1 else NEGATIVE)
+                    for col in range(n) if care >> (n - 1 - col) & 1]
+        for j in range(m):
+            if outs >> (m - 1 - j) & 1:
                 gates.append(mcx(n + j, controls))
-    return Circuit(
-        width=n + m,
-        gates=gates,
-        roles_in=(ROLE_INPUT,) * n + (ROLE_ANCILLA,) * m,
-        roles_out=(ROLE_INPUT,) * n + (ROLE_OUTPUT,) * m,
-        source=source,
-        method=method,
-    )
+    return Circuit(width=n + m, gates=gates, source=source, method=method,
+                   roles_in=(ROLE_INPUT,) * n + (ROLE_ANCILLA,) * m,
+                   roles_out=(ROLE_INPUT,) * n + (ROLE_OUTPUT,) * m)

@@ -149,3 +149,67 @@ def test_end_to_end_oracle_and_xor_shift(table):
         assert got >> m == x
         value, dc = spec.entries[x]
         assert (got & ones) & ~dc == (value ^ ones) & ~dc
+
+
+@st.composite
+def wide_tables(draw):
+    """33-40 input tables whose cubes overlap on a few columns.
+
+    Literals sit mostly in a small window of columns that includes column 0
+    (mask bit n-1 >= 32), so random points hit the cubes and the cubes
+    cancel and merge against each other.
+    """
+    n = draw(st.integers(33, 40))
+    m = draw(st.integers(1, 3))
+    window = [0] + draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=5, unique=True))
+    cubes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lits = ["-"] * n
+        for col in window:
+            lits[col] = draw(st.sampled_from("01-"))
+        extra = draw(st.integers(0, n - 1))
+        if lits[extra] == "-":
+            lits[extra] = draw(st.sampled_from("01-"))
+        outs = draw(st.text(alphabet="01", min_size=m, max_size=m))
+        cubes.append(pla.Cube("".join(lits), outs))
+    return pla.PlaTable(n=n, m=m, cubes=cubes, kind=pla.KIND_F), draw(st.randoms())
+
+
+def mask_eval(cubes, n: int, x: int, xor: bool) -> int:
+    """OR- or XOR-combined output word of string cubes at minterm x."""
+    word = 0
+    for cube in cubes:
+        care = int(cube.inputs.replace("0", "1").replace("-", "0"), 2)
+        value = int(cube.inputs.replace("-", "0"), 2)
+        if x & care == value:
+            mark = int(cube.outputs.replace("-", "0"), 2)
+            word = word ^ mark if xor else word | mark
+    return word
+
+
+def run_gates(circuit: circ.Circuit, state: list[int]) -> list[int]:
+    for gate in circuit.gates:
+        if all(state[q] == (pol == "+") for q, pol in gate.controls):
+            state[gate.target] ^= 1
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_tables())
+def test_wide_inputs_keep_xor_semantics(drawn):
+    table, rng = drawn
+    n, m = table.n, table.m
+    converted = esop.sop_to_esop(table)
+    minimized = esop.minimize_esop(converted)
+    assert len(minimized.cubes) <= len(converted.cubes)
+    circuit = esop.esop_to_circuit(minimized)
+    assert circuit.width == n + m
+    for _ in range(300):
+        x = rng.getrandbits(n)
+        expected = mask_eval(table.cubes, n, x, xor=False)
+        assert mask_eval(converted.cubes, n, x, xor=True) == expected
+        assert mask_eval(minimized.cubes, n, x, xor=True) == expected
+        bits = [x >> (n - 1 - q) & 1 for q in range(n)] + [0] * m
+        out = run_gates(circuit, list(bits))
+        assert out[:n] == bits[:n]
+        assert int("".join(map(str, out[n:])), 2) == expected
