@@ -14,6 +14,9 @@ from .pla import SpecTable
 #: Hard cap for explicit 2^N enumeration (permutations and statevectors).
 SIM_LIMIT = 20
 
+#: Widest circuit whose basis states fit one int64 word of the batch simulator.
+WORD_LIMIT = 63
+
 MODE_MINIMAL = "minimal"
 MODE_PRESERVE = "preserve"
 
@@ -78,6 +81,8 @@ def apply_classical(circuit: Circuit, pattern: int) -> int:
 
 def apply_classical_batch(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
     """Vectorized apply_classical over an array of basis states."""
+    if circuit.width > WORD_LIMIT:
+        raise TooWide(f"width {circuit.width} exceeds the {WORD_LIMIT}-qubit word simulator")
     out = np.asarray(patterns, dtype=np.int64).copy()
     for pos, neg, target in _compile_classical(circuit):
         hit = (out & pos == pos) & (out & neg == 0)
@@ -118,6 +123,8 @@ def verify_oracle(circuit: Circuit, spec: SpecTable, mode: str = MODE_MINIMAL) -
         raise ValueError(f"unknown mode {mode!r}")
     ins, _, outs = _role_positions(circuit, spec)
     width = circuit.width
+    if width > WORD_LIMIT:
+        raise TooWide(f"width {width} exceeds the {WORD_LIMIT}-qubit word simulator")
     minterms = sorted(spec.entries)
     report = VerificationReport(total_minterms=len(minterms), checked=0)
     if not minterms:

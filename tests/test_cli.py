@@ -153,6 +153,26 @@ def test_verify_roundtrip_and_corruption(tmp_path):
     ]) == 3
 
 
+def test_verify_word_width_limit(tmp_path, capsys):
+    # apex4's 28-qubit oracle fits one int64 word; ex5's 71-qubit one does not.
+    for name, code in (("apex4", 0), ("ex5", 4)):
+        table = str(BENCH_DIR / f"{name}.pla")
+        netlist = tmp_path / f"{name}.json"
+        assert main([
+            "synth", "--in", table, "--method", "esop",
+            "--out", str(tmp_path / f"{name}.qasm"), "--netlist", str(netlist),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--in", table, "--circuit", str(netlist)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.startswith("512/512 minterms checked: PASS")
+        else:
+            assert "Traceback" not in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+            assert "width 71" in captured.err
+
+
 def test_grover_deck_diamonds(tmp_path):
     out = tmp_path / "hist.csv"
     code = main([
