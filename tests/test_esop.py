@@ -213,3 +213,15 @@ def test_wide_inputs_keep_xor_semantics(drawn):
         out = run_gates(circuit, list(bits))
         assert out[:n] == bits[:n]
         assert int("".join(map(str, out[n:])), 2) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(pla_tables(max_n=5, max_m=4), st.booleans())
+def test_spec_to_esop_matches_the_table_route(table, partial):
+    # spec_to_esop skips rendering the minterm table as .pla cubes, but must
+    # keep sop_to_esop's cube order, which the minimizer's cascade depends on.
+    spec = pla.expand(table, partial=partial)
+    direct = esop.spec_to_esop(spec)
+    assert direct == esop.sop_to_esop(pla.table_from_spec(spec))
+    assert esop.minimize_esop(direct) == esop.minimize_esop(
+        esop.sop_to_esop(pla.table_from_spec(spec)))
