@@ -175,7 +175,7 @@ def wide_tables(draw):
     return pla.PlaTable(n=n, m=m, cubes=cubes, kind=pla.KIND_F), draw(st.randoms())
 
 
-def mask_eval(cubes, n: int, x: int, xor: bool) -> int:
+def mask_eval(cubes, x: int, xor: bool) -> int:
     """OR- or XOR-combined output word of string cubes at minterm x."""
     word = 0
     for cube in cubes:
@@ -206,9 +206,9 @@ def test_wide_inputs_keep_xor_semantics(drawn):
     assert circuit.width == n + m
     for _ in range(300):
         x = rng.getrandbits(n)
-        expected = mask_eval(table.cubes, n, x, xor=False)
-        assert mask_eval(converted.cubes, n, x, xor=True) == expected
-        assert mask_eval(minimized.cubes, n, x, xor=True) == expected
+        expected = mask_eval(table.cubes, x, xor=False)
+        assert mask_eval(converted.cubes, x, xor=True) == expected
+        assert mask_eval(minimized.cubes, x, xor=True) == expected
         bits = [x >> (n - 1 - q) & 1 for q in range(n)] + [0] * m
         out = run_gates(circuit, list(bits))
         assert out[:n] == bits[:n]
