@@ -42,7 +42,7 @@ class SynthResult:
     circuit: circ.Circuit
     report: circ.MetricsReport
     embedding: embed.EmbeddingReport | None
-    verification: sim.VerificationReport | None
+    verification: sim.VerificationReport
 
 
 def _complete(partial: embed.ReversibleSpec, completion: str) -> embed.ReversibleSpec:
@@ -74,7 +74,7 @@ def run_synthesis(
     gate_limit: int = 50_000,
     timeout_s: float = 600.0,
 ) -> SynthResult:
-    """Run one full synthesis pipeline and verify the result when feasible.
+    """Run one full synthesis pipeline and verify the result.
 
     Raises TooWide / GateLimitExceeded / SynthesisTimeout when the method
     cannot handle the function within its limits, and VerificationFailed if
@@ -125,11 +125,9 @@ def run_synthesis(
     elapsed_us = int((time.monotonic() - started) * 1e6)
     report = circ.metrics(lowered, elapsed_us)
 
-    verification = None
-    if lowered.width <= sim.SIM_LIMIT:
-        verification = sim.verify_oracle(lowered, check_spec, mode)
-        if not verification.passed:
-            raise VerificationFailed(verification)
+    verification = sim.verify_oracle(lowered, check_spec, mode)
+    if not verification.passed:
+        raise VerificationFailed(verification)
     return SynthResult(lowered, report, embedding, verification)
 
 
@@ -224,21 +222,17 @@ def write_bench_csv(rows: list[BenchRow], out_path: Path) -> None:
 
 def _cmd_synth(args) -> int:
     table = pla.parse_pla(Path(args.infile).read_text())
-    try:
-        result = run_synthesis(
-            table,
-            args.method,
-            source=Path(args.infile).stem,
-            minimize=not args.no_minimize,
-            partial=args.partial,
-            dc_minimize=args.dc_minimize,
-            completion=args.completion,
-            direction=tbs.BIDIRECTIONAL if args.bidirectional else tbs.UNIDIRECTIONAL,
-            timeout_s=args.timeout_s,
-        )
-    except VerificationFailed as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    result = run_synthesis(
+        table,
+        args.method,
+        source=Path(args.infile).stem,
+        minimize=not args.no_minimize,
+        partial=args.partial,
+        dc_minimize=args.dc_minimize,
+        completion=args.completion,
+        direction=tbs.BIDIRECTIONAL if args.bidirectional else tbs.UNIDIRECTIONAL,
+        timeout_s=args.timeout_s,
+    )
     Path(args.out).write_text(emit.to_qasm(result.circuit))
     if args.netlist:
         Path(args.netlist).write_text(emit.to_json(result.circuit))
@@ -255,10 +249,7 @@ def _cmd_synth(args) -> int:
             f"embedding: d={e.d} v={e.v} w={e.w} n_total={e.n_total} "
             f"completed_rows={e.completed_rows} identical_pairings={e.identical_pairings}"
         )
-    if result.verification is not None:
-        print(f"verify: {result.verification.summary()}")
-    else:
-        print(f"verify: skipped (width {r.qubits} over the simulation limit)")
+    print(f"verify: {result.verification.summary()}")
     return EXIT_OK
 
 
@@ -283,8 +274,7 @@ def _cmd_verify(args) -> int:
     table = pla.parse_pla(Path(args.infile).read_text())
     circuit = emit.from_json(Path(args.circuit).read_text())
     spec = pla.expand(table, partial=args.partial)
-    mode = sim.MODE_MINIMAL if args.mode == "minimal" else sim.MODE_PRESERVE
-    report = sim.verify_oracle(circuit, spec, mode)
+    report = sim.verify_oracle(circuit, spec, args.mode)
     print(report.summary())
     for x_bits, expected, got in report.mismatches[:20]:
         print(f"  {x_bits}: expected {expected}, got {got}")
@@ -422,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (TooWide, GateLimitExceeded) as exc:
-        print(f"synthesis limit: {exc}", file=sys.stderr)
+        print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except SynthesisTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)

@@ -60,7 +60,7 @@ def to_json(circuit: Circuit) -> str:
         ],
         "provenance": {"source": circuit.source, "method": circuit.method},
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def from_json(text: str) -> Circuit:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -49,45 +50,51 @@ class VerificationReport:
         return f"{self.checked}/{self.total_minterms} minterms checked: {state}"
 
 
-def _compile_classical(circuit: Circuit) -> list[tuple[int, int, int]]:
-    """Translate gates to (positive mask, negative mask, target mask) words.
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix given as ``width``-bit ints, MSB first.
 
-    Value-space bit width-1-q corresponds to qubit q, matching the MSB-first
-    integer convention.
+    Column j comes back as a len(rows)-bit int whose MSB is row 0, so the
+    function is its own inverse: it turns basis states into per-qubit
+    bit-planes and bit-planes back into basis states.
     """
-    width = circuit.width
-    compiled = []
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "big") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(raw).reshape(len(rows), 8 * nbytes)[:, 8 * nbytes - width:]
+    pad = -len(rows) % 8
+    return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(bits.T, axis=1)]
+
+
+def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
+    """Apply an X/MCX cascade to per-qubit bit-planes in place.
+
+    Each plane holds one bit per pattern and ``full`` sets all of them; a
+    gate ANDs its control planes (complemented for negative controls) and
+    XORs the result into its target plane.
+    """
     for gate in circuit.gates:
         if gate.kind not in CLASSICAL_KINDS:
             raise NonClassicalGate(f"{gate.kind} gate has no classical action")
-        pos = neg = 0
+        fire = full
         for q, pol in gate.controls:
-            bit = 1 << (width - 1 - q)
-            if pol == NEGATIVE:
-                neg |= bit
-            else:
-                pos |= bit
-        compiled.append((pos, neg, 1 << (width - 1 - gate.target)))
-    return compiled
+            fire &= ~planes[q] if pol == NEGATIVE else planes[q]
+        planes[gate.target] ^= fire
 
 
 def apply_classical(circuit: Circuit, pattern: int) -> int:
     """Run one basis state through an X/MCX cascade."""
-    for pos, neg, target in _compile_classical(circuit):
-        if pattern & pos == pos and pattern & neg == 0:
-            pattern ^= target
-    return pattern
+    planes = _transpose([pattern], circuit.width)
+    _run_planes(circuit, planes, 1)
+    return _transpose(planes, 1)[0]
 
 
 def apply_classical_batch(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
-    """Vectorized apply_classical over an array of basis states."""
+    """Vectorized apply_classical over an int64 array of basis states."""
     if circuit.width > WORD_LIMIT:
         raise TooWide(f"width {circuit.width} exceeds the {WORD_LIMIT}-qubit word simulator")
-    out = np.asarray(patterns, dtype=np.int64).copy()
-    for pos, neg, target in _compile_classical(circuit):
-        hit = (out & pos == pos) & (out & neg == 0)
-        out[hit] ^= target
-    return out
+    values = np.asarray(patterns, dtype=np.int64).tolist()
+    planes = _transpose(values, circuit.width)
+    _run_planes(circuit, planes, (1 << len(values)) - 1)
+    return np.array(_transpose(planes, len(values)), dtype=np.int64)
 
 
 def induced_permutation(circuit: Circuit) -> Permutation:
@@ -98,17 +105,16 @@ def induced_permutation(circuit: Circuit) -> Permutation:
     return Permutation(circuit.width, table)
 
 
-def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[int], list[int]]:
+def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[int]]:
     ins = [q for q, r in enumerate(circuit.roles_in) if r == ROLE_INPUT]
-    ancs = [q for q, r in enumerate(circuit.roles_in) if r == ROLE_ANCILLA]
     outs = [q for q, r in enumerate(circuit.roles_out) if r == ROLE_OUTPUT]
     if len(ins) != spec.n:
         raise RoleMismatch(f"{len(ins)} input qubits for an n={spec.n} table")
     if len(outs) != spec.m:
         raise RoleMismatch(f"{len(outs)} output qubits for an m={spec.m} table")
-    if len(ins) + len(ancs) != circuit.width:
+    if any(r not in (ROLE_INPUT, ROLE_ANCILLA) for r in circuit.roles_in):
         raise RoleMismatch("input-side roles must be input or ancilla")
-    return ins, ancs, outs
+    return ins, outs
 
 
 def verify_oracle(circuit: Circuit, spec: SpecTable, mode: str = MODE_MINIMAL) -> VerificationReport:
@@ -117,41 +123,40 @@ def verify_oracle(circuit: Circuit, spec: SpecTable, mode: str = MODE_MINIMAL) -
     Function inputs are loaded onto the input-role qubits, ancillas start at
     zero, and the output-role qubits must reproduce each specified output bit
     (don't-cares are skipped).  ``preserve`` mode additionally requires the
-    input qubits to still read the applied minterm afterwards.
+    input qubits to still read the applied minterm afterwards.  All minterms
+    run at once as bit-planes, so the cost does not depend on the width.
     """
     if mode not in (MODE_MINIMAL, MODE_PRESERVE):
         raise ValueError(f"unknown mode {mode!r}")
-    ins, _, outs = _role_positions(circuit, spec)
-    width = circuit.width
-    if width > WORD_LIMIT:
-        raise TooWide(f"width {width} exceeds the {WORD_LIMIT}-qubit word simulator")
+    ins, outs = _role_positions(circuit, spec)
+    n, m = spec.n, spec.m
     minterms = sorted(spec.entries)
-    report = VerificationReport(total_minterms=len(minterms), checked=0)
-    if not minterms:
+    count = len(minterms)
+    report = VerificationReport(total_minterms=count, checked=count)
+    # One row per minterm: its input bits, expected outputs and don't-care mask.
+    rows = [x << 2 * m | spec.entries[x][0] << m | spec.entries[x][1] for x in minterms]
+    cols = _transpose(rows, n + 2 * m)
+    planes = [0] * circuit.width
+    for q, plane in zip(ins, cols):
+        planes[q] = plane
+    _run_planes(circuit, planes, (1 << count) - 1)
+
+    bad = 0
+    for q, want, dc in zip(outs, cols[n:], cols[n + m:]):
+        bad |= (planes[q] ^ want) & ~dc
+    if mode == MODE_PRESERVE:
+        for q, x in zip(ins, cols):
+            bad |= planes[q] ^ x
+    if not bad:
         return report
 
-    in_bits = [1 << (width - 1 - q) for q in ins]
-    out_bits = [1 << (width - 1 - q) for q in outs]
-    words = np.zeros(len(minterms), dtype=np.int64)
-    for j, bit in enumerate(in_bits):
-        col = np.array([(x >> (spec.n - 1 - j)) & 1 for x in minterms], dtype=np.int64)
-        words |= col * bit
-    results = apply_classical_batch(circuit, words)
-
-    for idx, minterm in enumerate(minterms):
-        got_word = int(results[idx])
-        got = "".join("1" if got_word & bit else "0" for bit in out_bits)
-        expected = spec.output_bits(minterm)
-        ok = all(e in ("-", g) for e, g in zip(expected, got))
+    got = _transpose([planes[q] for q in outs + ins], count)
+    for minterm, word in compress(zip(minterms, got), _transpose([bad], count)):
+        x_bits, bits = format(minterm, f"0{n}b"), format(word, f"0{m + n}b")
+        expected, got_bits = spec.output_bits(minterm), bits[:m]
         if mode == MODE_PRESERVE:
-            got_x = "".join("1" if got_word & bit else "0" for bit in in_bits)
-            x_bits = format(minterm, f"0{spec.n}b")
-            expected = f"{expected}|{x_bits}"
-            got = f"{got}|{got_x}"
-            ok = ok and got_x == x_bits
-        report.checked += 1
-        if not ok:
-            report.mismatches.append((format(minterm, f"0{spec.n}b"), expected, got))
+            expected, got_bits = f"{expected}|{x_bits}", f"{bits[:m]}|{bits[m:]}"
+        report.mismatches.append((x_bits, expected, got_bits))
     return report
 
 

@@ -119,6 +119,17 @@ def test_criterion_04_verification_and_complexity_envelope(matrix):
     )
 
 
+def test_criterion_04_every_ok_item_verifies_in_full(matrix):
+    partial = [
+        key for key, outcome in matrix.items()
+        if not isinstance(outcome, Exception)
+        and not (outcome.verification.passed
+                 and outcome.verification.checked == outcome.verification.total_minterms)
+    ]
+    report_line(4, "every synthesized circuit verifies on all its minterms, at any width",
+                not partial, f"unverified={partial}")
+
+
 def test_criterion_05_tbs_soundness_sweep():
     start = time.monotonic()
     options = (

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qoracle
+from qoracle import circuit as circ
 from qoracle import emit, pla
 from qoracle.cli import main
 
@@ -154,8 +159,9 @@ def test_verify_roundtrip_and_corruption(tmp_path):
 
 
 def test_verify_word_width_limit(tmp_path, capsys):
-    # apex4's 28-qubit oracle fits one int64 word; ex5's 71-qubit one does not.
-    for name, code in (("apex4", 0), ("ex5", 4)):
+    # apex4's 28-qubit oracle fits one int64 word and ex5's 71-qubit one does
+    # not; verification simulates bit-planes, so both are checked in full.
+    for name, checked in (("apex4", "512/512"), ("ex5", "256/256")):
         table = str(BENCH_DIR / f"{name}.pla")
         netlist = tmp_path / f"{name}.json"
         assert main([
@@ -163,14 +169,44 @@ def test_verify_word_width_limit(tmp_path, capsys):
             "--out", str(tmp_path / f"{name}.qasm"), "--netlist", str(netlist),
         ]) == 0
         capsys.readouterr()
-        assert main(["verify", "--in", table, "--circuit", str(netlist)]) == code
-        captured = capsys.readouterr()
-        if code == 0:
-            assert captured.out.startswith("512/512 minterms checked: PASS")
-        else:
-            assert "Traceback" not in captured.err
-            assert len(captured.err.strip().splitlines()) == 1
-            assert "width 71" in captured.err
+        assert main(["verify", "--in", table, "--circuit", str(netlist)]) == 0
+        assert capsys.readouterr().out.startswith(f"{checked} minterms checked: PASS")
+
+    doc = json.loads(netlist.read_text())
+    doc["gates"] = doc["gates"][:-1]
+    broken = tmp_path / "ex5-broken.json"
+    broken.write_text(json.dumps(doc))
+    assert main(["verify", "--in", table, "--circuit", str(broken)]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out.splitlines()[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_over_expansion_limit_exits_4(tmp_path, capsys):
+    wide = tmp_path / "wide.pla"
+    wide.write_text(".i 21\n.o 1\n" + "1" * 21 + " 1\n.e\n")
+    netlist = tmp_path / "c.json"
+    netlist.write_text(emit.to_json(circ.Circuit(22)))
+    assert main(["verify", "--in", str(wide), "--circuit", str(netlist)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("size limit:")
+
+
+def test_python_m_qoracle_runs_cli(tmp_path):
+    netlist = tmp_path / "c.json"
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "esop",
+        "--out", str(tmp_path / "c.qasm"), "--netlist", str(netlist),
+    ]) == 0
+    package_root = Path(qoracle.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoracle", "verify", "--in", SQUAR5, "--circuit", str(netlist)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("32/32 minterms checked: PASS")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_grover_deck_diamonds(tmp_path):

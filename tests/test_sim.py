@@ -117,6 +117,64 @@ def test_cross_backend_oracle_agreement(data):
         assert result.verification.checked == len(entries)
 
 
+def reference_apply(circuit, pattern):
+    """Evaluate an X/MCX cascade one gate at a time on one basis state."""
+    w = circuit.width
+    for gate in circuit.gates:
+        if all((pattern >> (w - 1 - q) & 1) == (pol == "+") for q, pol in gate.controls):
+            pattern ^= 1 << (w - 1 - gate.target)
+    return pattern
+
+
+@settings(max_examples=80, deadline=None)
+@given(classical_circuits(max_width=80, max_gates=30), st.data())
+def test_bitplane_simulator_matches_reference_at_any_width(c, data):
+    w = c.width
+    patterns = data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=8))
+    for p in patterns:
+        assert sim.apply_classical(c, p) == reference_apply(c, p)
+    if w <= sim.WORD_LIMIT:
+        batch = sim.apply_classical_batch(c, np.array(patterns, dtype=np.int64))
+        assert batch.tolist() == [reference_apply(c, p) for p in patterns]
+
+    # Random roles: n input qubits (the rest ancillas at zero), m outputs.
+    n = data.draw(st.integers(1, min(w, 6)))
+    m = data.draw(st.integers(1, min(w, 4)))
+    ins = sorted(data.draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n, unique=True)))
+    outs = sorted(data.draw(st.lists(st.integers(0, w - 1), min_size=m, max_size=m, unique=True)))
+    oracle = circ.Circuit(
+        w, c.gates,
+        tuple("input" if q in ins else "ancilla" for q in range(w)),
+        tuple("output" if q in outs else "garbage" for q in range(w)),
+    )
+
+    def qubits(state, qs):
+        return int("".join(str(state >> (w - 1 - q) & 1) for q in qs), 2)
+
+    entries, actual, preserved = {}, {}, True
+    for x in data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)):
+        start = sum(1 << (w - 1 - q) for j, q in enumerate(ins) if x >> (n - 1 - j) & 1)
+        end = reference_apply(c, start)
+        actual[x] = qubits(end, outs)
+        dc = data.draw(st.integers(0, (1 << m) - 1))
+        entries[x] = (actual[x] & ~dc, dc)
+        preserved = preserved and qubits(end, ins) == x
+    spec = pla.SpecTable(n, m, entries)
+    report = sim.verify_oracle(oracle, spec, sim.MODE_MINIMAL)
+    assert report.passed and report.checked == report.total_minterms == len(entries)
+    assert sim.verify_oracle(oracle, spec, sim.MODE_PRESERVE).passed == preserved
+
+    # Demand the opposite of one output bit of one minterm: only it fails.
+    x = data.draw(st.sampled_from(sorted(entries)))
+    bit = 1 << data.draw(st.integers(0, m - 1))
+    dc = entries[x][1] & ~bit
+    wrong = pla.SpecTable(n, m, {**entries, x: ((actual[x] ^ bit) & ~dc, dc)})
+    bad = sim.verify_oracle(oracle, wrong, sim.MODE_MINIMAL)
+    assert bad.mismatches == [
+        (format(x, f"0{n}b"), wrong.output_bits(x), format(actual[x], f"0{m}b"))
+    ]
+
+
 def test_statevector_hadamard():
     state = sim.apply_statevector(circ.Circuit(1, [circ.h(0)]), sim.zero_state(1))
     assert np.allclose(state.amplitudes, [1 / math.sqrt(2)] * 2)
