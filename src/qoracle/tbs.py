@@ -10,18 +10,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import POSITIVE, Circuit, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
-
-#: Past this table size, gate application switches to vectorized arrays.
-_NUMPY_THRESHOLD = 1024
-
 
 @dataclass
 class TbsOptions:
@@ -59,75 +53,30 @@ def _plan(value: int, row: int, width: int) -> list[tuple[int, int]]:
     return gates
 
 
-class _TableState:
-    """Permutation table (and optionally its inverse) under gate updates."""
+def _swap(table: list[int], other: list[int], cmask: int, tbit: int) -> None:
+    """Swap ``table[x]`` and ``table[x | tbit]`` for every ``x`` holding ``cmask``.
 
-    def __init__(self, perm: np.ndarray, track_inverse: bool):
-        self.size = perm.size
-        self.vectorized = self.size >= _NUMPY_THRESHOLD
-        if self.vectorized:
-            self.perm = perm.astype(np.int64)
-            self.idx = np.arange(self.size)
-            self.inv = None
-            if track_inverse:
-                self.inv = np.empty(self.size, dtype=np.int64)
-                self.inv[self.perm] = self.idx
-        else:
-            self.perm = perm.tolist()
-            self.inv = None
-            if track_inverse:
-                self.inv = [0] * self.size
-                for i, y in enumerate(self.perm):
-                    self.inv[y] = i
-
-    def apply_output_gate(self, cmask: int, tbit: int) -> None:
-        if self.vectorized:
-            hit = (self.perm & cmask) == cmask
-            self.perm[hit] ^= tbit
-            if self.inv is not None:
-                sel = self.idx[((self.idx & cmask) == cmask) & ((self.idx & tbit) == 0)]
-                tmp = self.inv[sel].copy()
-                self.inv[sel] = self.inv[sel | tbit]
-                self.inv[sel | tbit] = tmp
-        else:
-            perm = self.perm
-            for i in range(self.size):
-                if perm[i] & cmask == cmask:
-                    perm[i] ^= tbit
-            if self.inv is not None:
-                inv = self.inv
-                for y in range(self.size):
-                    if y & cmask == cmask and not y & tbit:
-                        inv[y], inv[y | tbit] = inv[y | tbit], inv[y]
-
-    def apply_input_gate(self, cmask: int, tbit: int) -> None:
-        if self.vectorized:
-            sel = self.idx[((self.idx & cmask) == cmask) & ((self.idx & tbit) == 0)]
-            tmp = self.perm[sel].copy()
-            self.perm[sel] = self.perm[sel | tbit]
-            self.perm[sel | tbit] = tmp
-            hit = (self.inv & cmask) == cmask
-            self.inv[hit] ^= tbit
-        else:
-            perm = self.perm
-            for x in range(self.size):
-                if x & cmask == cmask and not x & tbit:
-                    perm[x], perm[x | tbit] = perm[x | tbit], perm[x]
-            inv = self.inv
-            for y in range(self.size):
-                if inv[y] & cmask == cmask:
-                    inv[y] ^= tbit
-
-    def value(self, row: int) -> int:
-        return int(self.perm[row])
-
-    def preimage(self, row: int) -> int:
-        return int(self.inv[row])
-
-    def prefix_fixed(self, row: int) -> bool:
-        if self.vectorized:
-            return bool((self.perm[: row + 1] == self.idx[: row + 1]).all())
-        return all(self.perm[k] == k for k in range(row + 1))
+    ``x`` runs over the patterns that contain the controls and lack the
+    target, so a gate visits 2^(width - |cmask| - 1) pairs rather than every
+    row; ``_plan`` never puts the target among the controls, so the pairs
+    are disjoint.  ``other`` is the inverse of ``table`` and is kept so.  On the
+    inverse table this is an output-side gate; on the permutation itself it
+    is an input-side gate.
+    """
+    free = (len(table) - 1) & ~(cmask | tbit)
+    sub = free
+    while True:
+        x = cmask | sub
+        y = x | tbit
+        a = table[x]
+        b = table[y]
+        table[x] = b
+        table[y] = a
+        other[a] = y
+        other[b] = x
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def _to_gate(cmask: int, tbit: int, width: int):
@@ -151,19 +100,22 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
     if opts.timeout_us is not None:
         deadline = time.monotonic() + opts.timeout_us / 1e6
     bidirectional = opts.direction == BIDIRECTIONAL
-    state = _TableState(np.asarray(spec.perm), track_inverse=bidirectional)
+    perm = spec.perm.tolist()
+    inv = [0] * size
+    for x, y in enumerate(perm):
+        inv[y] = x
 
     out_gates: list[tuple[int, int]] = []
     in_gates: list[tuple[int, int]] = []
     for row in range(size - 1):
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout(f"gave up at row {row} of {size}")
-        value = state.value(row)
+        value = perm[row]
         if value == row:
             continue
         out_plan = _plan(value, row, width)
         if bidirectional:
-            in_plan = _plan(state.preimage(row), row, width)
+            in_plan = _plan(inv[row], row, width)
             out_cost = (len(out_plan), sum(bin(c).count("1") for c, _ in out_plan))
             in_cost = (len(in_plan), sum(bin(c).count("1") for c, _ in in_plan))
             take_input = in_cost < out_cost
@@ -176,16 +128,16 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
             )
         for cmask, tbit in plan:
             if take_input:
-                state.apply_input_gate(cmask, tbit)
+                _swap(perm, inv, cmask, tbit)
                 in_gates.append((cmask, tbit))
             else:
-                state.apply_output_gate(cmask, tbit)
+                _swap(inv, perm, cmask, tbit)
                 out_gates.append((cmask, tbit))
             # Chosen controls can never all be present in an earlier row's
             # pattern, so the processed prefix must stay fixed gate by gate.
-            if opts.validate and row and not state.prefix_fixed(row - 1):
+            if opts.validate and perm[:row] != list(range(row)):
                 raise AssertionError(f"a row before {row} was disturbed")
-        if opts.validate and not state.prefix_fixed(row):
+        if opts.validate and perm[: row + 1] != list(range(row + 1)):
             raise AssertionError(f"row {row} not fixed after its gates")
 
     gates = [_to_gate(c, t, width) for c, t in in_gates]
