@@ -202,7 +202,7 @@ def run_bench(
         raise FileNotFoundError(f"no .pla files under {bench_dir}")
     tasks = [(str(f), m, timeout_s, completion) for f in files for m in methods]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_bench_task, tasks))
     else:
         rows = [_bench_task(t) for t in tasks]
@@ -383,7 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit netlist against a table")
     p.add_argument("--in", dest="infile", required=True, metavar="PLA")
     p.add_argument("--circuit", required=True, metavar="JSON")
-    p.add_argument("--mode", choices=("minimal", "preserve"), default="preserve")
+    p.add_argument("--mode", choices=(sim.MODE_MINIMAL, sim.MODE_PRESERVE),
+                   default=sim.MODE_PRESERVE)
     p.add_argument("--partial", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -417,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except SynthesisTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QOracleError, ValueError) as exc:

@@ -11,7 +11,7 @@ import pytest
 
 import qoracle
 from qoracle import circuit as circ
-from qoracle import emit, pla
+from qoracle import cli, emit, pla
 from qoracle.cli import main
 
 from conftest import BENCH_DIR
@@ -57,6 +57,30 @@ def test_synth_missing_file_exits_2(tmp_path):
         "synth", "--in", str(tmp_path / "nope.pla"), "--method", "esop",
         "--out", str(tmp_path / "c.qasm"),
     ]) == 2
+
+
+def test_synth_input_directory_exits_2(tmp_path, capsys):
+    assert main([
+        "synth", "--in", str(tmp_path), "--method", "esop",
+        "--out", str(tmp_path / "c.qasm"),
+    ]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("file error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_bench_csv_directory_exits_2(tmp_path, capsys):
+    small = tmp_path / "bench"
+    small.mkdir()
+    (small / "f51m.pla").write_text((BENCH_DIR / "f51m.pla").read_text())
+    assert main([
+        "bench", "--dir", str(small), "--methods", "esop", "--csv", str(tmp_path),
+    ]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("file error:")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_synth_too_large_exits_4(tmp_path):
@@ -279,6 +303,34 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
         return [r[:7] + r[8:] for r in out]
 
     assert rows(tmp_path / "serial.csv", 1) == rows(tmp_path / "par.csv", 2)
+
+
+def test_bench_jobs_capped_at_task_count(tmp_path, monkeypatch):
+    small = tmp_path / "bench"
+    small.mkdir()
+    for name in ("squar5", "f51m"):
+        (small / f"{name}.pla").write_text((BENCH_DIR / f"{name}.pla").read_text())
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    assert main([
+        "bench", "--dir", str(small), "--methods", "esop",
+        "--csv", str(tmp_path / "rows.csv"), "--jobs", "100000",
+    ]) == 0
+    assert started == [2]
 
 
 def test_synth_partial_checks_only_covered_minterms(tmp_path):
