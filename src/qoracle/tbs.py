@@ -17,6 +17,7 @@ from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
 
+
 @dataclass
 class TbsOptions:
     direction: str = UNIDIRECTIONAL
@@ -58,8 +59,8 @@ def _swap(table: list[int], other: list[int], cmask: int, tbit: int) -> None:
 
     ``x`` runs over the patterns that contain the controls and lack the
     target, so a gate visits 2^(width - |cmask| - 1) pairs rather than every
-    row; ``_plan`` never puts the target among the controls, so the pairs
-    are disjoint.  ``other`` is the inverse of ``table`` and is kept so.  On the
+    row; ``_plan`` never puts the target among the controls, so the pairs are
+    disjoint.  ``other`` is the inverse of ``table`` and is kept so.  On the
     inverse table this is an output-side gate; on the permutation itself it
     is an input-side gate.
     """
@@ -68,12 +69,9 @@ def _swap(table: list[int], other: list[int], cmask: int, tbit: int) -> None:
     while True:
         x = cmask | sub
         y = x | tbit
-        a = table[x]
-        b = table[y]
-        table[x] = b
-        table[y] = a
-        other[a] = y
-        other[b] = x
+        a, b = table[x], table[y]
+        table[x], table[y] = b, a
+        other[a], other[b] = y, x
         if not sub:
             return
         sub = (sub - 1) & free
