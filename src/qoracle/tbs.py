@@ -10,6 +10,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import POSITIVE, Circuit, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
@@ -32,8 +34,14 @@ class TbsOptions:
             raise ValueError("gate_limit must be positive")
 
 
-def _bits_desc(mask: int, width: int) -> list[int]:
-    return [1 << k for k in range(width - 1, -1, -1) if mask >> k & 1]
+def _bits_desc(mask: int) -> list[int]:
+    """The set bits of ``mask``, most significant first."""
+    bits = []
+    while mask:
+        top = 1 << (mask.bit_length() - 1)
+        bits.append(top)
+        mask ^= top
+    return bits
 
 
 def _plan(value: int, row: int, width: int) -> list[tuple[int, int]]:
@@ -45,45 +53,43 @@ def _plan(value: int, row: int, width: int) -> list[tuple[int, int]]:
     """
     gates = []
     current = value
-    for bit in _bits_desc(row & ~current, width):
+    for bit in _bits_desc(row & ~current):
         gates.append((current, bit))
         current |= bit
-    for bit in _bits_desc(current & ~row, width):
+    for bit in _bits_desc(current & ~row):
         gates.append((row, bit))
         current ^= bit
     return gates
 
 
-def _swap(table: list[int], other: list[int], cmask: int, tbit: int) -> None:
+def _swap(table: np.ndarray, other: np.ndarray, index: np.ndarray,
+          cmask: int, tbit: int) -> None:
     """Swap ``table[x]`` and ``table[x | tbit]`` for every ``x`` holding ``cmask``.
 
-    ``x`` runs over the patterns that contain the controls and lack the
-    target, so a gate visits 2^(width - |cmask| - 1) pairs rather than every
-    row; ``_plan`` never puts the target among the controls, so the pairs are
-    disjoint.  ``other`` is the inverse of ``table`` and is kept so.  On the
-    inverse table this is an output-side gate; on the permutation itself it
-    is an input-side gate.
+    ``index`` is ``arange(2**width)`` with one axis per qubit, most
+    significant bit first.  Fixing the control axes to 1 and the target axis
+    to 0 leaves a strided view of the 2^(width - |cmask| - 1) such ``x``, so
+    the pairs are gathered and scattered in a few array operations;
+    ``_plan`` never puts the target among the controls, so they are disjoint.
+    ``other`` is the inverse of ``table`` and is kept so.  On the inverse
+    table this is an output-side gate; on the permutation itself it is an
+    input-side gate.
     """
-    free = (len(table) - 1) & ~(cmask | tbit)
-    sub = free
-    while True:
-        x = cmask | sub
-        y = x | tbit
-        a, b = table[x], table[y]
-        table[x], table[y] = b, a
-        other[a], other[b] = y, x
-        if not sub:
-            return
-        sub = (sub - 1) & free
+    width = index.ndim
+    sel = [slice(None)] * width
+    for bit in _bits_desc(cmask):
+        sel[width - bit.bit_length()] = 1
+    sel[width - tbit.bit_length()] = 0
+    xs = index[tuple(sel)].reshape(-1)
+    ys = xs | tbit
+    a, b = table[xs], table[ys]
+    table[xs], table[ys] = b, a
+    other[b], other[a] = xs, ys
 
 
 def _to_gate(cmask: int, tbit: int, width: int):
-    target = width - 1 - (tbit.bit_length() - 1)
-    controls = [
-        (col, POSITIVE)
-        for col in range(width)
-        if cmask >> (width - 1 - col) & 1
-    ]
+    target = width - tbit.bit_length()
+    controls = [(width - bit.bit_length(), POSITIVE) for bit in _bits_desc(cmask)]
     return mcx(target, controls)
 
 
@@ -98,22 +104,23 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
     if opts.timeout_us is not None:
         deadline = time.monotonic() + opts.timeout_us / 1e6
     bidirectional = opts.direction == BIDIRECTIONAL
-    perm = spec.perm.tolist()
-    inv = [0] * size
-    for x, y in enumerate(perm):
-        inv[y] = x
+    ident = np.arange(size, dtype=np.int64)
+    index = ident.reshape((2,) * width)
+    perm = spec.perm.astype(np.int64)
+    inv = np.empty_like(perm)
+    inv[perm] = ident
 
     out_gates: list[tuple[int, int]] = []
     in_gates: list[tuple[int, int]] = []
     for row in range(size - 1):
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout(f"gave up at row {row} of {size}")
-        value = perm[row]
+        value = int(perm[row])
         if value == row:
             continue
         out_plan = _plan(value, row, width)
         if bidirectional:
-            in_plan = _plan(inv[row], row, width)
+            in_plan = _plan(int(inv[row]), row, width)
             out_cost = (len(out_plan), sum(bin(c).count("1") for c, _ in out_plan))
             in_cost = (len(in_plan), sum(bin(c).count("1") for c, _ in in_plan))
             take_input = in_cost < out_cost
@@ -121,30 +128,23 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
             take_input = False
         plan = in_plan if take_input else out_plan
         if len(out_gates) + len(in_gates) + len(plan) > opts.gate_limit:
-            raise GateLimitExceeded(
-                f"over {opts.gate_limit} gates at row {row} of {size}"
-            )
+            raise GateLimitExceeded(f"over {opts.gate_limit} gates at row {row} of {size}")
         for cmask, tbit in plan:
             if take_input:
-                _swap(perm, inv, cmask, tbit)
+                _swap(perm, inv, index, cmask, tbit)
                 in_gates.append((cmask, tbit))
             else:
-                _swap(inv, perm, cmask, tbit)
+                _swap(inv, perm, index, cmask, tbit)
                 out_gates.append((cmask, tbit))
             # Chosen controls can never all be present in an earlier row's
             # pattern, so the processed prefix must stay fixed gate by gate.
-            if opts.validate and perm[:row] != list(range(row)):
+            if opts.validate and not np.array_equal(perm[:row], ident[:row]):
                 raise AssertionError(f"a row before {row} was disturbed")
-        if opts.validate and perm[: row + 1] != list(range(row + 1)):
+        if opts.validate and not np.array_equal(perm[: row + 1], ident[: row + 1]):
             raise AssertionError(f"row {row} not fixed after its gates")
 
     gates = [_to_gate(c, t, width) for c, t in in_gates]
     gates.extend(_to_gate(c, t, width) for c, t in reversed(out_gates))
     method = "tbs-bidirectional" if bidirectional else "tbs"
-    return Circuit(
-        width=width,
-        gates=gates,
-        roles_in=spec.roles_in,
-        roles_out=spec.roles_out,
-        method=method,
-    )
+    return Circuit(width=width, gates=gates, roles_in=spec.roles_in,
+                   roles_out=spec.roles_out, method=method)
