@@ -28,8 +28,10 @@ def main() -> int:
     parser.add_argument("--completion", default="hamming", choices=("hamming", "naive"))
     args = parser.parse_args()
 
-    rows = run_bench(BENCH_DIR, list(METHODS), args.timeout_s, args.jobs, args.completion)
-    write_bench_csv(rows, Path(args.csv))
+    with Path(args.csv).open("w", newline="") as fh:
+        rows = run_bench(BENCH_DIR, list(METHODS), args.timeout_s, args.jobs,
+                         args.completion)
+        write_bench_csv(rows, fh)
 
     by_fn: dict[str, dict[str, object]] = {}
     for row in rows:

@@ -158,9 +158,10 @@ def lower_polarity(circuit: Circuit) -> Circuit:
             if q not in flipped:
                 out.append(x(q))
                 flipped.add(q)
-        out.append(
-            Gate(gate.kind, gate.target, tuple((q, POSITIVE) for q, _ in gate.controls))
-        )
+        if need:
+            gate = Gate(gate.kind, gate.target,
+                        tuple((q, POSITIVE) for q, _ in gate.controls))
+        out.append(gate)
     flush(set(flipped))
     return circuit.replace_gates(out)
 

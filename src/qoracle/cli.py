@@ -8,6 +8,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from . import circuit as circ
 from . import embed, emit, esop, grover, pla, sim, tbs
@@ -210,12 +211,11 @@ def run_bench(
     return rows
 
 
-def write_bench_csv(rows: list[BenchRow], out_path: Path) -> None:
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(row.as_csv())
+def write_bench_csv(rows: list[BenchRow], fh: TextIO) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for row in rows:
+        writer.writerow(row.as_csv())
 
 
 # --- subcommand implementations ---------------------------------------------
@@ -263,8 +263,10 @@ def _cmd_bench(args) -> int:
         if m not in METHODS:
             print(f"unknown method {m!r}", file=sys.stderr)
             return EXIT_USAGE
-    rows = run_bench(bench_dir, methods, args.timeout_s, args.jobs, args.completion)
-    write_bench_csv(rows, Path(args.csv))
+    # Opened first, so a bad path fails before the matrix is synthesized.
+    with Path(args.csv).open("w", newline="") as fh:
+        rows = run_bench(bench_dir, methods, args.timeout_s, args.jobs, args.completion)
+        write_bench_csv(rows, fh)
     for row in rows:
         print(",".join(row.as_csv()))
     return EXIT_OK

@@ -51,11 +51,8 @@ def to_json(circuit: Circuit) -> str:
             [circuit.roles_in[q], circuit.roles_out[q]] for q in range(circuit.width)
         ],
         "gates": [
-            {
-                "kind": gate.kind,
-                "target": gate.target,
-                "controls": [[q, pol] for q, pol in gate.controls],
-            }
+            # json writes the (qubit, polarity) tuples as arrays.
+            {"kind": gate.kind, "target": gate.target, "controls": gate.controls}
             for gate in circuit.gates
         ],
         "provenance": {"source": circuit.source, "method": circuit.method},

@@ -83,6 +83,17 @@ def test_bench_csv_directory_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_bench_csv_bad_path_fails_before_synthesis(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_bench", lambda *args: calls.append(args) or [])
+    assert main([
+        "bench", "--dir", str(BENCH_DIR), "--methods", "esop", "--csv", str(tmp_path),
+    ]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("file error:")
+    assert calls == []
+
+
 def test_synth_too_large_exits_4(tmp_path):
     assert main([
         "synth", "--in", str(BENCH_DIR / "b11.pla"), "--method", "tbs",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qoracle import circuit as circ
 from qoracle import embed, sim, tbs
 from qoracle.errors import GateLimitExceeded, NotBijective, SynthesisTimeout
 
@@ -20,6 +21,64 @@ def synth(perm, direction=tbs.UNIDIRECTIONAL, **kw):
     width = (len(perm) - 1).bit_length()
     opts = tbs.TbsOptions(direction=direction, **kw)
     return tbs.tbs_synthesize(make_spec(width, perm), opts)
+
+
+def reference_tbs(perm, width, bidirectional):
+    """TBS on Python lists, each gate walking its pairs one submask at a time."""
+    size = 1 << width
+    perm = list(perm)
+    inv = [0] * size
+    for x, y in enumerate(perm):
+        inv[y] = x
+    bits = [1 << k for k in reversed(range(width))]
+
+    def plan(value, row):
+        gates, current = [], value
+        for bit in bits:
+            if row & bit and not current & bit:
+                gates.append((current, bit))
+                current |= bit
+        for bit in bits:
+            if current & bit and not row & bit:
+                gates.append((row, bit))
+                current ^= bit
+        return gates
+
+    def swap(table, other, cmask, tbit):
+        free = (size - 1) & ~(cmask | tbit)
+        sub = free
+        while True:
+            x = cmask | sub
+            y = x | tbit
+            a, b = table[x], table[y]
+            table[x], table[y] = b, a
+            other[a], other[b] = y, x
+            if not sub:
+                return
+            sub = (sub - 1) & free
+
+    def cost(gates):
+        return len(gates), sum(bin(c).count("1") for c, _ in gates)
+
+    out_gates, in_gates = [], []
+    for row in range(size - 1):
+        if perm[row] == row:
+            continue
+        out_plan = plan(perm[row], row)
+        in_plan = plan(inv[row], row) if bidirectional else out_plan
+        if bidirectional and cost(in_plan) < cost(out_plan):
+            for cmask, tbit in in_plan:
+                swap(perm, inv, cmask, tbit)
+                in_gates.append((cmask, tbit))
+        else:
+            for cmask, tbit in out_plan:
+                swap(inv, perm, cmask, tbit)
+                out_gates.append((cmask, tbit))
+    return [
+        circ.mcx(width - tbit.bit_length(),
+                 [(q, "+") for q in range(width) if cmask >> (width - 1 - q) & 1])
+        for cmask, tbit in in_gates + out_gates[::-1]
+    ]
 
 
 def test_identity_gives_empty_circuit():
@@ -66,6 +125,25 @@ def test_random_permutations_up_to_six_qubits(perm, bidirectional):
     c = synth(list(perm), direction, validate=True)
     assert c.gates == [] or all(pol == "+" for g in c.gates for _, pol in g.controls)
     assert sim.induced_permutation(c).map.tolist() == list(perm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda w: st.permutations(list(range(1 << w)))),
+    st.booleans(),
+)
+def test_matches_list_reference(perm, bidirectional):
+    direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
+    width = (len(perm) - 1).bit_length()
+    assert synth(list(perm), direction).gates == reference_tbs(perm, width, bidirectional)
+
+
+def test_sixteen_qubit_last_pair_swap_is_one_gate():
+    perm = list(range(1 << 16))
+    perm[-2], perm[-1] = perm[-1], perm[-2]
+    c = synth(perm)
+    assert c.gates == [circ.mcx(15, [(q, "+") for q in range(15)])]
+    assert sim.induced_permutation(c).map.tolist() == perm
 
 
 def test_bidirectional_prefers_cheaper_input_side():
