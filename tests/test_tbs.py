@@ -65,7 +65,7 @@ def reference_tbs(perm, width, bidirectional):
         if perm[row] == row:
             continue
         out_plan = plan(perm[row], row)
-        in_plan = plan(inv[row], row) if bidirectional else out_plan
+        in_plan = plan(inv[row], row)
         if bidirectional and cost(in_plan) < cost(out_plan):
             for cmask, tbit in in_plan:
                 swap(perm, inv, cmask, tbit)
