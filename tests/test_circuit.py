@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoracle import circuit as circ
 from qoracle import sim
@@ -70,6 +71,75 @@ def test_lower_preserves_permutation(c):
     assert all(pol == "+" for g in lowered.gates for _, pol in g.controls)
     assert sim.induced_permutation(lowered).map.tolist() == \
         sim.induced_permutation(c).map.tolist()
+
+
+def reference_lower(gates):
+    """Polarity lowering on (qubit, polarity) tuples, gate for gate.
+
+    Flushes go in ascending qubit order, consecutive gates share one
+    sandwich, an explicit X cancels a pending sandwich X, and an MCZ flushes
+    its target after its positive controls.
+    """
+    flipped: set[int] = set()
+    out = []
+
+    def flush(qubits):
+        for q in sorted(qubits):
+            if q in flipped:
+                out.append(("x", q, ()))
+                flipped.remove(q)
+
+    for gate in gates:
+        kind, target, controls = gate.kind, gate.target, gate.controls
+        if kind == "x":
+            if target in flipped:
+                flipped.remove(target)
+            else:
+                out.append((kind, target, controls))
+            continue
+        if kind in ("h", "z"):
+            flush({target})
+            out.append((kind, target, controls))
+            continue
+        flush({q for q, pol in controls if pol == "+"})
+        if kind == "mcz":
+            flush({target})
+        for q in sorted(q for q, pol in controls if pol == "-"):
+            if q not in flipped:
+                out.append(("x", q, ()))
+                flipped.add(q)
+        out.append((kind, target, tuple((q, "+") for q, _ in controls)))
+    flush(set(flipped))
+    return out
+
+
+@st.composite
+def mixed_circuits(draw):
+    """Classical circuits with X, H, Z and MCZ gates inserted at random."""
+    c = draw(classical_circuits())
+    gates = list(c.gates)
+    for _ in range(draw(st.integers(0, 6))):
+        target = draw(st.integers(0, c.width - 1))
+        kind = draw(st.sampled_from(["x", "h", "z", "mcz"]))
+        if kind == "mcz":
+            others = [q for q in range(c.width) if q != target]
+            controls = draw(st.lists(
+                st.tuples(st.sampled_from(others), st.sampled_from("+-")),
+                unique_by=lambda q: q[0], max_size=min(3, len(others)),
+            )) if others else []
+            gate = circ.mcz(target, controls)
+        else:
+            gate = getattr(circ, kind)(target)
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    return c.replace_gates(gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_circuits())
+def test_lower_matches_reference_gate_for_gate(c):
+    lowered = circ.lower_polarity(c)
+    assert [(g.kind, g.target, g.controls) for g in lowered.gates] == \
+        reference_lower(c.gates)
 
 
 def test_lower_flushes_before_phase_gates():

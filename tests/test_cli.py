@@ -217,6 +217,37 @@ def test_verify_word_width_limit(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_verify_malformed_netlist_gate_exits_2(tmp_path, capsys):
+    netlist = tmp_path / "c.json"
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "esop",
+        "--out", str(tmp_path / "c.qasm"), "--netlist", str(netlist),
+    ]) == 0
+    doc = json.loads(netlist.read_text())
+    width = doc["width"]
+    at = next(i for i, g in enumerate(doc["gates"]) if g["controls"])
+    gate = doc["gates"][at]
+    (q0, pol0), rest = gate["controls"][0], gate["controls"][1:]
+    corruptions = {
+        "control-on-target": gate["controls"] + [[gate["target"], "+"]],
+        "qubit-twice": gate["controls"] + [[q0, pol0]],
+        "bad-polarity": [[q0, "n"]] + rest,
+        "negative-qubit": [[-1, pol0]] + rest,
+        "qubit-outside-width": [[width, pol0]] + rest,
+    }
+    for name, controls in corruptions.items():
+        bad = json.loads(json.dumps(doc))
+        bad["gates"][at]["controls"] = controls
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", "--in", SQUAR5, "--circuit", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (name, err)
+        assert "Traceback" not in captured.out + captured.err
+
+
 def test_verify_over_expansion_limit_exits_4(tmp_path, capsys):
     wide = tmp_path / "wide.pla"
     wide.write_text(".i 21\n.o 1\n" + "1" * 21 + " 1\n.e\n")
