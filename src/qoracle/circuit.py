@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 from .errors import NotLowered
 from .embed import ROLE_INPUT, ROLE_OUTPUT
@@ -20,35 +21,45 @@ KIND_MCZ = "mcz"
 CLASSICAL_KINDS = frozenset({KIND_X, KIND_MCX})
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: a target qubit plus polarized controls.
+def _qubits(mask: int):
+    """The qubits whose bits are set in ``mask``, in ascending order."""
+    if mask < 0:
+        raise ValueError(f"negative control mask {mask}")
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    ``x``/``mcx`` flip the target when every control matches its polarity;
-    ``h``/``z``/``mcz`` exist only for search-circuit assembly and are
-    rejected by the classical simulator.
+
+def _from_msb_first(mask: int, width: int) -> int:
+    """The gate mask of a ``width``-bit table mask whose top bit is qubit 0."""
+    return int(format(mask, f"0{width}b")[::-1], 2)
+
+
+class Gate(NamedTuple):
+    """One gate: a target qubit plus positive and negative control masks.
+
+    Bit q of ``pos``/``neg`` stands for qubit q.  ``x``/``mcx`` flip the
+    target when every control matches its polarity; ``h``/``z``/``mcz``
+    exist only for search-circuit assembly and are rejected by the classical
+    simulator.  ``Circuit`` validates its gates against its width.
     """
 
     kind: str
     target: int
-    controls: tuple[tuple[int, str], ...] = ()
+    pos: int = 0
+    neg: int = 0
 
-    def __post_init__(self) -> None:
-        qubits = [q for q, _ in self.controls]
-        if self.target in qubits:
-            raise ValueError(f"gate targets its own control qubit {self.target}")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("duplicate control qubit")
-        for _, pol in self.controls:
-            if pol not in (POSITIVE, NEGATIVE):
-                raise ValueError(f"bad polarity {pol!r}")
-        if self.kind in (KIND_X, KIND_H, KIND_Z) and self.controls:
-            raise ValueError(f"{self.kind} takes no controls")
+    @property
+    def controls(self) -> tuple[tuple[int, str], ...]:
+        """(qubit, polarity) pairs in ascending qubit order."""
+        return tuple((q, POSITIVE if self.pos >> q & 1 else NEGATIVE)
+                     for q in _qubits(self.pos | self.neg))
 
     @property
     def cost(self) -> int:
         """Number of qubits the gate acts on (controls plus target)."""
-        return len(self.controls) + 1
+        return (self.pos | self.neg).bit_count() + 1
 
 
 def x(target: int) -> Gate:
@@ -63,14 +74,15 @@ def z(target: int) -> Gate:
     return Gate(KIND_Z, target)
 
 
-def mcx(target: int, controls) -> Gate:
-    controls = tuple((q, pol) for q, pol in controls)
-    return Gate(KIND_MCX, target, controls) if controls else Gate(KIND_X, target)
+def mcx(target: int, pos: int = 0, neg: int = 0) -> Gate:
+    return Gate(KIND_MCX if pos | neg else KIND_X, target, pos, neg)
 
 
-def mcz(target: int, controls) -> Gate:
-    controls = tuple((q, pol) for q, pol in controls)
-    return Gate(KIND_MCZ, target, controls) if controls else Gate(KIND_Z, target)
+def mcz(target: int, pos: int = 0, neg: int = 0) -> Gate:
+    return Gate(KIND_MCZ if pos | neg else KIND_Z, target, pos, neg)
+
+
+_UNCONTROLLED = frozenset({KIND_X, KIND_H, KIND_Z})
 
 
 @dataclass
@@ -91,13 +103,13 @@ class Circuit:
             self.roles_out = (ROLE_OUTPUT,) * self.width
         if len(self.roles_in) != self.width or len(self.roles_out) != self.width:
             raise ValueError("role annotations must cover every qubit")
+        width = self.width
         for gate in self.gates:
-            self._check_gate(gate)
-
-    def _check_gate(self, gate: Gate) -> None:
-        qubits = [gate.target] + [q for q, _ in gate.controls]
-        if any(q < 0 or q >= self.width for q in qubits):
-            raise ValueError(f"gate {gate} outside width {self.width}")
+            kind, target, pos, neg = gate
+            mask = pos | neg
+            if (not 0 <= target < width or mask < 0 or mask >> width or pos & neg
+                    or mask >> target & 1 or (mask and kind in _UNCONTROLLED)):
+                raise ValueError(f"malformed gate {gate} in a {width}-qubit circuit")
 
     def replace_gates(self, gates: list[Gate]) -> "Circuit":
         return Circuit(
@@ -127,50 +139,47 @@ def lower_polarity(circuit: Circuit) -> Circuit:
     X pairs back to back.  The result computes the same function and
     contains positive controls only.
     """
-    flipped: set[int] = set()
+    flipped = 0
     out: list[Gate] = []
 
-    def flush(qubits) -> None:
-        for q in sorted(qubits):
-            if q in flipped:
-                out.append(x(q))
-                flipped.remove(q)
+    def flush(mask: int) -> None:
+        nonlocal flipped
+        mask &= flipped
+        flipped ^= mask
+        out.extend(x(q) for q in _qubits(mask))
 
     for gate in circuit.gates:
-        if gate.kind == KIND_X:
+        kind, target, pos, neg = gate
+        if kind == KIND_X:
             # An explicit X cancels a pending sandwich X on the same wire.
-            if gate.target in flipped:
-                flipped.remove(gate.target)
+            if flipped >> target & 1:
+                flipped ^= 1 << target
             else:
                 out.append(gate)
             continue
-        if gate.kind in (KIND_H, KIND_Z):
-            flush({gate.target})
+        if kind in (KIND_H, KIND_Z):
+            flush(1 << target)
             out.append(gate)
             continue
-        flush({q for q, pol in gate.controls if pol == POSITIVE})
-        if gate.kind == KIND_MCZ:
+        if pos & flipped:
+            flush(pos)
+        if kind == KIND_MCZ:
             # Z-type gates read their target; an X flip on X-type targets
             # commutes with the conditional flip and may stay pending.
-            flush({gate.target})
-        need = sorted(q for q, pol in gate.controls if pol == NEGATIVE)
-        for q in need:
-            if q not in flipped:
-                out.append(x(q))
-                flipped.add(q)
-        if need:
-            gate = Gate(gate.kind, gate.target,
-                        tuple((q, POSITIVE) for q, _ in gate.controls))
+            flush(1 << target)
+        if neg:
+            out.extend(x(q) for q in _qubits(neg & ~flipped))
+            flipped |= neg
+            gate = Gate(kind, target, pos | neg)
         out.append(gate)
-    flush(set(flipped))
+    flush(flipped)
     return circuit.replace_gates(out)
 
 
 def complexity(circuit: Circuit) -> int:
     """Sum of per-gate costs, each the number of qubits the gate touches."""
-    for gate in circuit.gates:
-        if any(pol == NEGATIVE for _, pol in gate.controls):
-            raise NotLowered("complexity is defined on lowered circuits")
+    if any(gate.neg for gate in circuit.gates):
+        raise NotLowered("complexity is defined on lowered circuits")
     return sum(gate.cost for gate in circuit.gates)
 
 

@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="leave minterms covered by no cube unspecified")
     p.add_argument("--dc-minimize", action="store_true",
                    help="resolve output don't-cares to minimize duplication")
-    p.add_argument("--timeout-s", type=int, default=600)
+    p.add_argument("--timeout-s", type=float, default=600.0)
     p.add_argument("--completion", choices=(COMPLETION_HAMMING, COMPLETION_NAIVE),
                    default=COMPLETION_HAMMING)
     p.set_defaults(func=_cmd_synth)
@@ -376,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--methods", default="esop,esop-rtt,tbs")
     p.add_argument("--csv", required=True)
-    p.add_argument("--timeout-s", type=int, default=600)
+    p.add_argument("--timeout-s", type=float, default=600.0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--completion", choices=(COMPLETION_HAMMING, COMPLETION_NAIVE),
                    default=COMPLETION_HAMMING)

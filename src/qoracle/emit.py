@@ -3,16 +3,8 @@ from __future__ import annotations
 
 import json
 
-from .circuit import (
-    KIND_H,
-    KIND_MCX,
-    KIND_MCZ,
-    KIND_X,
-    KIND_Z,
-    NEGATIVE,
-    Circuit,
-    Gate,
-)
+from .circuit import (KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, NEGATIVE, POSITIVE,
+                      Circuit, Gate, _qubits)
 from .errors import NegativeControlPresent, ParseError
 
 _SIMPLE = {KIND_X: "x", KIND_H: "h", KIND_Z: "z"}
@@ -23,20 +15,22 @@ def to_qasm(circuit: Circuit) -> str:
     """Emit OPENQASM 3.0 with ctrl(k) modifiers for multi-control gates.
 
     Requires a lowered circuit: negative controls have no direct QASM
-    spelling here and must be rewritten as X sandwiches first.
+    spelling here and must be rewritten as X sandwiches first.  Each
+    distinct control mask renders its ``ctrl(k) @ ...`` prefix once.
     """
     lines = ["OPENQASM 3.0;", f"qubit[{circuit.width}] q;"]
-    for gate in circuit.gates:
-        if any(pol == NEGATIVE for _, pol in gate.controls):
+    prefixes: dict[tuple[str, int], str] = {}
+    for kind, target, pos, neg in circuit.gates:
+        if neg:
             raise NegativeControlPresent("lower the circuit before QASM emission")
-        if gate.kind in _SIMPLE:
-            lines.append(f"{_SIMPLE[gate.kind]} q[{gate.target}];")
-        else:
-            base = _CONTROLLED[gate.kind]
-            operands = ", ".join(
-                [f"q[{q}]" for q, _ in gate.controls] + [f"q[{gate.target}]"]
-            )
-            lines.append(f"ctrl({len(gate.controls)}) @ {base} {operands};")
+        if kind in _SIMPLE:
+            lines.append(f"{_SIMPLE[kind]} q[{target}];")
+            continue
+        prefix = prefixes.get((kind, pos))
+        if prefix is None:
+            operands = "".join(f"q[{q}], " for q in _qubits(pos))
+            prefix = prefixes[kind, pos] = f"ctrl({pos.bit_count()}) @ {_CONTROLLED[kind]} {operands}"
+        lines.append(f"{prefix}q[{target}];")
     lines.append("// qubit roles (input -> output):")
     for q in range(circuit.width):
         lines.append(f"// q[{q}]: {circuit.roles_in[q]} -> {circuit.roles_out[q]}")
@@ -44,20 +38,26 @@ def to_qasm(circuit: Circuit) -> str:
 
 
 def to_json(circuit: Circuit) -> str:
-    """Serialize to the JSON netlist, gates in execution order."""
-    doc = {
-        "width": circuit.width,
-        "roles": [
-            [circuit.roles_in[q], circuit.roles_out[q]] for q in range(circuit.width)
-        ],
-        "gates": [
-            # json writes the (qubit, polarity) tuples as arrays.
-            {"kind": gate.kind, "target": gate.target, "controls": gate.controls}
-            for gate in circuit.gates
-        ],
-        "provenance": {"source": circuit.source, "method": circuit.method},
-    }
-    return json.dumps(doc) + "\n"
+    """Serialize to the JSON netlist, gates in execution order.
+
+    Gates with the same kind and control masks differ only in their target,
+    so each such group is rendered once and the gates are joined as text,
+    in the bytes ``json.dumps`` writes for the whole document.
+    """
+    parts: dict[tuple[str, int, int], tuple[str, str]] = {}
+    gates = []
+    for kind, target, pos, neg in circuit.gates:
+        part = parts.get((kind, pos, neg))
+        if part is None:
+            controls = ", ".join(f'[{q}, "{POSITIVE if pos >> q & 1 else NEGATIVE}"]'
+                                 for q in _qubits(pos | neg))
+            part = parts[kind, pos, neg] = (f'{{"kind": {json.dumps(kind)}, "target": ',
+                                            f', "controls": [{controls}]}}')
+        gates.append(f"{part[0]}{target}{part[1]}")
+    roles = [[circuit.roles_in[q], circuit.roles_out[q]] for q in range(circuit.width)]
+    head = json.dumps({"width": circuit.width, "roles": roles})
+    tail = json.dumps({"provenance": {"source": circuit.source, "method": circuit.method}})
+    return f'{head[:-1]}, "gates": [{", ".join(gates)}], {tail[1:]}\n'
 
 
 def from_json(text: str) -> Circuit:
@@ -66,14 +66,8 @@ def from_json(text: str) -> Circuit:
         doc = json.loads(text)
         width = doc["width"]
         roles = doc.get("roles") or [["input", "output"]] * width
-        gates = [
-            Gate(
-                g["kind"],
-                g["target"],
-                tuple((int(q), str(pol)) for q, pol in g.get("controls", [])),
-            )
-            for g in doc["gates"]
-        ]
+        gates = [Gate(g["kind"], g["target"], *_masks(g.get("controls", []), width))
+                 for g in doc["gates"]]
         provenance = doc.get("provenance", {})
         return Circuit(
             width=width,
@@ -85,3 +79,18 @@ def from_json(text: str) -> Circuit:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad circuit netlist: {exc}") from exc
+
+
+def _masks(controls, width: int) -> tuple[int, int]:
+    """Positive and negative control masks of a gate's [qubit, polarity] pairs."""
+    masks = {POSITIVE: 0, NEGATIVE: 0}
+    for q, pol in controls:
+        q = int(q)
+        if not 0 <= q < width:
+            raise ValueError(f"control qubit {q} outside width {width}")
+        if (masks[POSITIVE] | masks[NEGATIVE]) >> q & 1:
+            raise ValueError(f"control qubit {q} listed twice")
+        if pol not in masks:
+            raise ValueError(f"bad polarity {pol!r}")
+        masks[pol] |= 1 << q
+    return masks[POSITIVE], masks[NEGATIVE]

@@ -14,7 +14,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .circuit import POSITIVE, NEGATIVE, Circuit, mcx
+from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import SynthesisTimeout
 from .pla import Cube, PlaTable, SpecTable
@@ -311,11 +311,10 @@ def esop_to_circuit(cubes: EsopCubeList, source: str = "", method: str = "esop")
     n, m = cubes.n, cubes.m
     gates = []
     for care, value, outs in cubes.rows:
-        controls = [(col, POSITIVE if value >> (n - 1 - col) & 1 else NEGATIVE)
-                    for col in range(n) if care >> (n - 1 - col) & 1]
+        pos, neg = _from_msb_first(care & value, n), _from_msb_first(care & ~value, n)
         for j in range(m):
             if outs >> (m - 1 - j) & 1:
-                gates.append(mcx(n + j, controls))
+                gates.append(mcx(n + j, pos, neg))
     return Circuit(width=n + m, gates=gates, source=source, method=method,
                    roles_in=(ROLE_INPUT,) * n + (ROLE_ANCILLA,) * m,
                    roles_out=(ROLE_INPUT,) * n + (ROLE_OUTPUT,) * m)

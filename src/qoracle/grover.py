@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import POSITIVE, Circuit, Gate, h, mcz, x
+from .circuit import Circuit, Gate, h, mcz, x
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import BadOracleShape, InvalidRank
 from .pla import Cube, PlaTable
@@ -108,7 +108,7 @@ def diffusion_gates(n: int) -> list[Gate]:
     """Inversion about the mean on an n-qubit register; depends only on n."""
     gates: list[Gate] = [h(q) for q in range(n)]
     gates += [x(q) for q in range(n)]
-    gates.append(mcz(n - 1, [(q, POSITIVE) for q in range(n - 1)]))
+    gates.append(mcz(n - 1, (1 << (n - 1)) - 1))
     gates += [x(q) for q in range(n)]
     gates += [h(q) for q in range(n)]
     return gates

@@ -7,7 +7,8 @@ from itertools import compress
 
 import numpy as np
 
-from .circuit import CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, NEGATIVE, Circuit
+from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, NEGATIVE,
+                      Circuit, _qubits)
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import NonClassicalGate, NotBijective, RoleMismatch, TooWide
 from .pla import SpecTable
@@ -69,15 +70,24 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
 
     Each plane holds one bit per pattern and ``full`` sets all of them; a
     gate ANDs its control planes (complemented for negative controls) and
-    XORs the result into its target plane.
+    XORs the result into its target plane.  Lowered circuits have positive
+    controls only, and their masks repeat, so each mask is walked once.
     """
-    for gate in circuit.gates:
-        if gate.kind not in CLASSICAL_KINDS:
-            raise NonClassicalGate(f"{gate.kind} gate has no classical action")
+    qubits: dict[int, list[int]] = {}
+    for kind, target, pos, neg in circuit.gates:
+        if kind not in CLASSICAL_KINDS:
+            raise NonClassicalGate(f"{kind} gate has no classical action")
         fire = full
-        for q, pol in gate.controls:
-            fire &= ~planes[q] if pol == NEGATIVE else planes[q]
-        planes[gate.target] ^= fire
+        if pos:
+            qs = qubits.get(pos)
+            if qs is None:
+                qs = qubits[pos] = list(_qubits(pos))
+            for q in qs:
+                fire &= planes[q]
+        if neg:
+            for q in _qubits(neg):
+                fire &= ~planes[q]
+        planes[target] ^= fire
 
 
 def apply_classical(circuit: Circuit, pattern: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import POSITIVE, Circuit, mcx
+from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
 
@@ -88,9 +88,7 @@ def _swap(table: np.ndarray, other: np.ndarray, index: np.ndarray,
 
 
 def _to_gate(cmask: int, tbit: int, width: int):
-    target = width - tbit.bit_length()
-    controls = [(width - bit.bit_length(), POSITIVE) for bit in _bits_desc(cmask)]
-    return mcx(target, controls)
+    return mcx(width - tbit.bit_length(), _from_msb_first(cmask, width))
 
 
 def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circuit:
@@ -121,8 +119,8 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
         out_plan = _plan(value, row, width)
         if bidirectional:
             in_plan = _plan(int(inv[row]), row, width)
-            out_cost = (len(out_plan), sum(bin(c).count("1") for c, _ in out_plan))
-            in_cost = (len(in_plan), sum(bin(c).count("1") for c, _ in in_plan))
+            out_cost = (len(out_plan), sum(c.bit_count() for c, _ in out_plan))
+            in_cost = (len(in_plan), sum(c.bit_count() for c, _ in in_plan))
             take_input = in_cost < out_cost
         else:
             take_input = False

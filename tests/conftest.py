@@ -32,6 +32,12 @@ def pla_tables(draw, max_n: int = 5, max_m: int = 3, kind: str | None = None,
     return pla.PlaTable(n=n, m=m, cubes=cubes, kind=table_kind)
 
 
+def control_masks(controls) -> tuple[int, int]:
+    """The (pos, neg) masks of (qubit, polarity) pairs; bit q is qubit q."""
+    return (sum(1 << q for q, pol in controls if pol == "+"),
+            sum(1 << q for q, pol in controls if pol == "-"))
+
+
 @st.composite
 def classical_circuits(draw, max_width: int = 6, max_gates: int = 10):
     width = draw(st.integers(1, max_width))
@@ -49,7 +55,7 @@ def classical_circuits(draw, max_width: int = 6, max_gates: int = 10):
             if others
             else st.just([])
         )
-        return circ.mcx(target, controls)
+        return circ.mcx(target, *control_masks(controls))
 
     gate_list = draw(st.lists(gates(), max_size=max_gates))
     return circ.Circuit(width=width, gates=gate_list)

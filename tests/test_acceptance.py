@@ -220,10 +220,10 @@ def test_criterion_08_grover_clubs():
 
 def test_criterion_09_complexity_units():
     x_cost = circ.complexity(circ.Circuit(1, [circ.x(0)]))
-    cnot = circ.complexity(circ.Circuit(2, [circ.mcx(1, [(0, "+")])]))
-    ccx = circ.complexity(circ.Circuit(3, [circ.mcx(2, [(0, "+"), (1, "+")])]))
+    cnot = circ.complexity(circ.Circuit(2, [circ.mcx(1, 1 << 0)]))
+    ccx = circ.complexity(circ.Circuit(3, [circ.mcx(2, 1 << 0 | 1 << 1)]))
     mcx6 = circ.complexity(
-        circ.Circuit(7, [circ.mcx(6, [(q, "+") for q in range(6)])])
+        circ.Circuit(7, [circ.mcx(6, (1 << 6) - 1)])
     )
     ok = (x_cost, cnot, ccx, mcx6) == (1, 2, 3, 7)
     report_line(9, "gate cost units (X, CNOT, CCX, 6-control MCX)", ok,

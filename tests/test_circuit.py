@@ -9,20 +9,26 @@ from qoracle import circuit as circ
 from qoracle import sim
 from qoracle.errors import NotLowered
 
-from conftest import classical_circuits
+from conftest import classical_circuits, control_masks
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        circ.Gate("mcx", 1, ((1, "+"),))
-    with pytest.raises(ValueError):
-        circ.Gate("mcx", 0, ((1, "+"), (1, "-")))
-    with pytest.raises(ValueError):
-        circ.Gate("mcx", 0, ((1, "n"),))
+    malformed = [
+        circ.Gate("mcx", 1, 1 << 1),          # control on the target
+        circ.Gate("mcx", 0, 1 << 1, 1 << 1),  # qubit 1 both positive and negative
+        circ.Gate("x", 0, 1 << 1),            # controls on an X
+        circ.Gate("mcx", 0, 1 << 3),          # control outside the width
+        circ.Gate("mcx", 3, 1 << 0),          # target outside the width
+        circ.Gate("mcx", -1, 1 << 0),         # negative target
+        circ.Gate("mcx", 0, 0, -2),           # negative control mask
+    ]
+    for gate in malformed:
+        with pytest.raises(ValueError):
+            circ.Circuit(3, [gate])
 
 
 def test_lower_basic_sandwich():
-    c = circ.Circuit(3, [circ.mcx(2, [(0, "+"), (1, "-")])])
+    c = circ.Circuit(3, [circ.mcx(2, 1 << 0, 1 << 1)])
     lowered = circ.lower_polarity(c)
     kinds = [(g.kind, g.target) for g in lowered.gates]
     assert kinds == [("x", 1), ("mcx", 2), ("x", 1)]
@@ -30,7 +36,7 @@ def test_lower_basic_sandwich():
 
 
 def test_lower_all_positive_unchanged():
-    c = circ.Circuit(3, [circ.x(0), circ.mcx(2, [(0, "+"), (1, "+")])])
+    c = circ.Circuit(3, [circ.x(0), circ.mcx(2, 1 << 0 | 1 << 1)])
     assert circ.lower_polarity(c).gates == c.gates
 
 
@@ -38,7 +44,7 @@ def test_lower_elides_shared_sandwich():
     # Consecutive gates sharing a negative control reuse one X pair; the
     # sandwich X count drops from four to two and the function is unchanged.
     c = circ.Circuit(
-        3, [circ.mcx(2, [(0, "+"), (1, "-")]), circ.mcx(0, [(1, "-"), (2, "+")])]
+        3, [circ.mcx(2, 1 << 0, 1 << 1), circ.mcx(0, 1 << 2, 1 << 1)]
     )
     lowered = circ.lower_polarity(c)
     assert sum(1 for g in lowered.gates if g.kind == "x") == 2
@@ -48,7 +54,7 @@ def test_lower_elides_shared_sandwich():
 
 def test_lower_flushes_before_positive_use():
     c = circ.Circuit(
-        2, [circ.mcx(0, [(1, "-")]), circ.mcx(0, [(1, "+")])]
+        2, [circ.mcx(0, 0, 1 << 1), circ.mcx(0, 1 << 1)]
     )
     lowered = circ.lower_polarity(c)
     assert sim.induced_permutation(lowered).map.tolist() == \
@@ -57,7 +63,7 @@ def test_lower_flushes_before_positive_use():
 
 
 def test_lower_cancels_explicit_x():
-    c = circ.Circuit(2, [circ.mcx(0, [(1, "-")]), circ.x(1)])
+    c = circ.Circuit(2, [circ.mcx(0, 0, 1 << 1), circ.x(1)])
     lowered = circ.lower_polarity(c)
     assert sim.induced_permutation(lowered).map.tolist() == \
         sim.induced_permutation(c).map.tolist()
@@ -127,7 +133,7 @@ def mixed_circuits(draw):
                 st.tuples(st.sampled_from(others), st.sampled_from("+-")),
                 unique_by=lambda q: q[0], max_size=min(3, len(others)),
             )) if others else []
-            gate = circ.mcz(target, controls)
+            gate = circ.mcz(target, *control_masks(controls))
         else:
             gate = getattr(circ, kind)(target)
         gates.insert(draw(st.integers(0, len(gates))), gate)
@@ -153,10 +159,10 @@ def test_lower_flushes_before_phase_gates():
         [
             circ.h(0),
             circ.h(1),
-            circ.mcx(2, [(0, "+"), (1, "-")]),
-            circ.mcz(1, [(2, "-")]),
+            circ.mcx(2, 1 << 0, 1 << 1),
+            circ.mcz(1, 0, 1 << 2),
             circ.h(1),
-            circ.mcx(0, [(1, "-"), (2, "+")]),
+            circ.mcx(0, 1 << 2, 1 << 1),
             circ.z(1),
             circ.x(1),
         ],
@@ -170,16 +176,16 @@ def test_lower_flushes_before_phase_gates():
 
 def test_complexity_unit_costs():
     assert circ.complexity(circ.Circuit(1, [circ.x(0)])) == 1
-    ccx = circ.mcx(2, [(0, "+"), (1, "+")])
+    ccx = circ.mcx(2, 1 << 0 | 1 << 1)
     assert circ.complexity(circ.Circuit(3, [ccx])) == 3
-    mcx6 = circ.mcx(6, [(q, "+") for q in range(6)])
+    mcx6 = circ.mcx(6, (1 << 6) - 1)
     sandwich = [circ.x(q) for q in (1, 3, 5)]
     c = circ.Circuit(7, sandwich + [mcx6] + sandwich)
     assert circ.complexity(c) == 7 + 6
 
 
 def test_complexity_requires_lowered():
-    c = circ.Circuit(2, [circ.mcx(0, [(1, "-")])])
+    c = circ.Circuit(2, [circ.mcx(0, 0, 1 << 1)])
     with pytest.raises(NotLowered):
         circ.complexity(c)
 
@@ -198,5 +204,5 @@ def test_metrics_report():
     assert (report.qubits, report.gate_count, report.complexity) == (3, 0, 0)
     assert report.status == "ok"
 
-    c = circ.Circuit(3, [circ.mcx(2, [(0, "+"), (1, "+")]), circ.mcx(1, [(0, "+")])])
+    c = circ.Circuit(3, [circ.mcx(2, 1 << 0 | 1 << 1), circ.mcx(1, 1 << 0)])
     assert circ.metrics(c, 1).complexity == 5

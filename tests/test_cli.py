@@ -94,6 +94,22 @@ def test_bench_csv_bad_path_fails_before_synthesis(tmp_path, monkeypatch, capsys
     assert calls == []
 
 
+def test_synth_fractional_timeout(tmp_path, capsys):
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "tbs", "--timeout-s", "0.5",
+        "--out", str(tmp_path / "c.qasm"),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "synth", "--in", str(BENCH_DIR / "addm4.pla"), "--method", "tbs",
+        "--timeout-s", "0.000001", "--out", str(tmp_path / "d.qasm"),
+    ]) == 4
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("timeout:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_synth_too_large_exits_4(tmp_path):
     assert main([
         "synth", "--in", str(BENCH_DIR / "b11.pla"), "--method", "tbs",
@@ -246,6 +262,25 @@ def test_verify_malformed_netlist_gate_exits_2(tmp_path, capsys):
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (name, err)
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_netlist_controls_in_any_order(tmp_path, capsys):
+    netlist = tmp_path / "c.json"
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "esop",
+        "--out", str(tmp_path / "c.qasm"), "--netlist", str(netlist),
+    ]) == 0
+    doc = json.loads(netlist.read_text())
+    assert any(len(g["controls"]) > 1 for g in doc["gates"])
+    for gate in doc["gates"]:
+        gate["controls"].reverse()
+    reversed_netlist = tmp_path / "reversed.json"
+    reversed_netlist.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", SQUAR5, "--circuit", str(reversed_netlist)]) == 0
+    assert capsys.readouterr().out.startswith("32/32 minterms checked: PASS")
+    again = emit.to_json(emit.from_json(reversed_netlist.read_text()))
+    assert again == netlist.read_text()
 
 
 def test_verify_over_expansion_limit_exits_4(tmp_path, capsys):

@@ -18,7 +18,7 @@ def test_qasm_single_x():
 
 
 def test_qasm_ccx_line():
-    c = circ.Circuit(3, [circ.mcx(2, [(0, "+"), (1, "+")])])
+    c = circ.Circuit(3, [circ.mcx(2, 1 << 0 | 1 << 1)])
     assert "ctrl(2) @ x q[0], q[1], q[2];" in emit.to_qasm(c)
 
 
@@ -33,7 +33,7 @@ def test_qasm_lowered_card_oracle_structure():
 
 
 def test_qasm_rejects_negative_controls():
-    c = circ.Circuit(2, [circ.mcx(1, [(0, "-")])])
+    c = circ.Circuit(2, [circ.mcx(1, 0, 1 << 0)])
     with pytest.raises(NegativeControlPresent):
         emit.to_qasm(c)
 
@@ -46,7 +46,7 @@ def test_qasm_role_comment():
 
 
 def test_qasm_emits_h_and_mcz():
-    c = circ.Circuit(2, [circ.h(0), circ.mcz(1, [(0, "+")]), circ.z(1)])
+    c = circ.Circuit(2, [circ.h(0), circ.mcz(1, 1 << 0), circ.z(1)])
     text = emit.to_qasm(c)
     assert "h q[0];" in text and "ctrl(1) @ z q[0], q[1];" in text and "z q[1];" in text
 
@@ -78,7 +78,7 @@ def test_json_roundtrip_random_circuits(c):
 
 
 def test_qasm_order_matches_ir():
-    gates = [circ.x(0), circ.mcx(2, [(0, "+")]), circ.x(1)]
+    gates = [circ.x(0), circ.mcx(2, 1 << 0), circ.x(1)]
     c = circ.Circuit(3, gates)
     lines = [l for l in emit.to_qasm(c).splitlines()[2:] if not l.startswith("//")]
     assert lines == ["x q[0];", "ctrl(1) @ x q[0], q[2];", "x q[1];"]

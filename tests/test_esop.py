@@ -110,7 +110,7 @@ def test_esop_to_circuit_single_toffoli():
     cubes = esop.EsopCubeList(2, 1, [pla.Cube("11", "1")])
     c = esop.esop_to_circuit(cubes)
     assert c.width == 3
-    assert c.gates == [circ.mcx(2, [(0, "+"), (1, "+")])]
+    assert c.gates == [circ.mcx(2, 1 << 0 | 1 << 1)]
 
 
 def test_esop_to_circuit_card_polarity():

@@ -23,7 +23,7 @@ def ten_of_diamonds_oracle():
 def test_apply_classical_basics():
     c = circ.Circuit(3, [circ.x(0)])
     assert sim.apply_classical(c, 0b000) == 0b100
-    ccx = circ.Circuit(3, [circ.mcx(2, [(0, "+"), (1, "+")])])
+    ccx = circ.Circuit(3, [circ.mcx(2, 1 << 0 | 1 << 1)])
     assert sim.apply_classical(ccx, 0b110) == 0b111
     assert sim.apply_classical(ccx, 0b100) == 0b100
 
@@ -42,7 +42,7 @@ def test_apply_classical_rejects_nonclassical():
 
 def test_induced_permutation_examples():
     assert sim.induced_permutation(circ.Circuit(2)).map.tolist() == [0, 1, 2, 3]
-    cnot = circ.Circuit(2, [circ.mcx(1, [(0, "+")])])
+    cnot = circ.Circuit(2, [circ.mcx(1, 1 << 0)])
     assert sim.induced_permutation(cnot).map.tolist() == [0, 1, 3, 2]
     with pytest.raises(TooWide):
         sim.induced_permutation(circ.Circuit(21))
@@ -81,7 +81,7 @@ def test_verify_oracle_empty_spec():
 
 def test_verify_oracle_skips_dontcare_bits():
     spec = pla.SpecTable(1, 1, {0: (0, 1), 1: (0, 1)})
-    c = circ.Circuit(2, [circ.mcx(1, [(0, "+")])],
+    c = circ.Circuit(2, [circ.mcx(1, 1 << 0)],
                      roles_in=("input", "ancilla"),
                      roles_out=("input", "output"))
     assert sim.verify_oracle(c, spec, sim.MODE_PRESERVE).passed
@@ -187,7 +187,7 @@ def test_statevector_double_x_is_identity():
 
 
 def test_statevector_mcz_phase():
-    prep = circ.Circuit(2, [circ.x(0), circ.x(1), circ.mcz(1, [(0, "+")])])
+    prep = circ.Circuit(2, [circ.x(0), circ.x(1), circ.mcz(1, 1 << 0)])
     state = sim.apply_statevector(prep, sim.zero_state(2))
     assert np.isclose(state.amplitudes[0b11], -1.0)
 

@@ -76,7 +76,7 @@ def reference_tbs(perm, width, bidirectional):
                 out_gates.append((cmask, tbit))
     return [
         circ.mcx(width - tbit.bit_length(),
-                 [(q, "+") for q in range(width) if cmask >> (width - 1 - q) & 1])
+                 sum(1 << q for q in range(width) if cmask >> (width - 1 - q) & 1))
         for cmask, tbit in in_gates + out_gates[::-1]
     ]
 
@@ -142,7 +142,7 @@ def test_sixteen_qubit_last_pair_swap_is_one_gate():
     perm = list(range(1 << 16))
     perm[-2], perm[-1] = perm[-1], perm[-2]
     c = synth(perm)
-    assert c.gates == [circ.mcx(15, [(q, "+") for q in range(15)])]
+    assert c.gates == [circ.mcx(15, (1 << 15) - 1)]
     assert sim.induced_permutation(c).map.tolist() == perm
 
 
