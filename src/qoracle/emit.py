@@ -29,7 +29,8 @@ def to_qasm(circuit: Circuit) -> str:
         prefix = prefixes.get((kind, pos))
         if prefix is None:
             operands = "".join(f"q[{q}], " for q in _qubits(pos))
-            prefix = prefixes[kind, pos] = f"ctrl({pos.bit_count()}) @ {_CONTROLLED[kind]} {operands}"
+            prefix = f"ctrl({pos.bit_count()}) @ {_CONTROLLED[kind]} {operands}"
+            prefixes[kind, pos] = prefix
         lines.append(f"{prefix}q[{target}];")
     lines.append("// qubit roles (input -> output):")
     for q in range(circuit.width):
