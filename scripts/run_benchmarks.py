@@ -1,58 +1,51 @@
 #!/usr/bin/env python3
-"""Run the full benchmark matrix and print a comparison table.
+"""Print a comparison table from a ``qoracle bench`` CSV.
 
-Synthesizes every bundled .pla function with all three backends, writes the
-raw rows to a CSV, and prints one line per function comparing qubit counts
-and circuit complexity across methods.
+One line per function compares qubit counts and circuit complexity across
+the three methods; a method that did not finish shows its status.
 
-Usage:  python scripts/run_benchmarks.py [--csv results.csv] [--jobs 2]
+Usage:
+    qoracle bench --dir benchmarks --csv results.csv
+    python scripts/run_benchmarks.py results.csv
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from qoracle.cli import METHODS, run_bench, write_bench_csv
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+METHODS = ("esop", "esop-rtt", "tbs")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--csv", default="benchmark_results.csv")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout-s", type=int, default=600)
-    parser.add_argument("--completion", default="hamming", choices=("hamming", "naive"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("csv", help="rows written by qoracle bench --csv")
     args = parser.parse_args()
 
-    with Path(args.csv).open("w", newline="") as fh:
-        rows = run_bench(BENCH_DIR, list(METHODS), args.timeout_s, args.jobs,
-                         args.completion)
-        write_bench_csv(rows, fh)
+    with open(args.csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
 
-    by_fn: dict[str, dict[str, object]] = {}
+    by_fn: dict[str, dict[str, dict[str, str]]] = {}
     for row in rows:
-        by_fn.setdefault(row.function, {})[row.method] = row
+        by_fn.setdefault(row["function"], {})[row["method"]] = row
 
-    def cell(row) -> str:
-        if row.status != "ok":
-            return f"*{row.status}*"
-        return f"q={row.qubits} c={row.complexity}"
+    def cell(row: dict[str, str] | None) -> str:
+        if row is None:
+            return "-"
+        if row["status"] != "ok":
+            return f"*{row['status']}*"
+        return f"q={row['qubits']} c={row['complexity']}"
 
     print(f"{'function':10s} {'in':>3s} {'out':>3s} | "
-          f"{'esop':>16s} | {'esop-rtt':>16s} | {'tbs':>16s}")
+          + " | ".join(f"{m:>16s}" for m in METHODS))
     for name in sorted(by_fn):
         cells = by_fn[name]
         any_row = next(iter(cells.values()))
         print(
-            f"{name:10s} {any_row.inputs:3d} {any_row.outputs:3d} | "
-            f"{cell(cells['esop']):>16s} | {cell(cells['esop-rtt']):>16s} | "
-            f"{cell(cells['tbs']):>16s}"
+            f"{name:10s} {int(any_row['inputs']):3d} {int(any_row['outputs']):3d} | "
+            + " | ".join(f"{cell(cells.get(m)):>16s}" for m in METHODS)
         )
-    print(f"\nwrote {len(rows)} rows to {args.csv}")
+    print(f"\nread {len(rows)} rows from {args.csv}")
     return 0
 
 

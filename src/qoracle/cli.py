@@ -21,8 +21,7 @@ from .errors import (
 
 METHODS = ("esop", "esop-rtt", "tbs")
 
-COMPLETION_HAMMING = "hamming"
-COMPLETION_NAIVE = "naive"
+COMPLETIONS = ("hamming", "naive")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,20 +45,22 @@ class SynthResult:
     verification: sim.VerificationReport
 
 
-def _complete(partial: embed.ReversibleSpec, completion: str) -> embed.ReversibleSpec:
-    if completion == COMPLETION_NAIVE:
-        return embed.complete_onto_naive(partial)
-    if completion == COMPLETION_HAMMING:
-        return embed.complete_onto_hamming(partial)
-    raise ValueError(f"unknown completion {completion!r}")
-
-
 def _reexpress(total: embed.ReversibleSpec, report: embed.EmbeddingReport,
                n: int, m: int) -> pla.SpecTable:
     """Rewrite a completed permutation as a fully specified (n+w)/(m+v) table."""
     pad = report.n_total - m - report.v
     entries = {x: (int(y) >> pad, 0) for x, y in enumerate(total.perm)}
     return pla.SpecTable(n=n + report.w, m=m + report.v, entries=entries)
+
+
+def _embed(resolved: pla.SpecTable,
+           completion: str) -> tuple[embed.ReversibleSpec, embed.EmbeddingReport]:
+    """RTT-embed a resolved table and complete it onto a permutation."""
+    partial_spec, embedding = embed.rtt_embed(resolved)
+    # Looked up at call time, so a patched ``embed`` attribute is the one run.
+    total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
+    embed.finish_report(embedding, partial_spec, total)
+    return total, embedding
 
 
 def run_synthesis(
@@ -70,9 +71,8 @@ def run_synthesis(
     minimize: bool = True,
     partial: bool = False,
     dc_minimize: bool = False,
-    completion: str = COMPLETION_HAMMING,
+    completion: str = "hamming",
     direction: str = tbs.UNIDIRECTIONAL,
-    gate_limit: int = 50_000,
     timeout_s: float = 600.0,
 ) -> SynthResult:
     """Run one full synthesis pipeline and verify the result.
@@ -83,44 +83,35 @@ def run_synthesis(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if completion not in COMPLETIONS:
+        raise ValueError(f"unknown completion {completion!r}")
     started = time.monotonic()
     deadline = started + timeout_s
-    policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
-    embedding = None
+    spec = pla.expand(table, partial=partial)
+    resolved = embedding = None
+    if method != "esop" or dc_minimize:
+        policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
+        resolved = embed.resolve_dontcares(spec, policy)
+    if method != "esop":
+        total, embedding = _embed(resolved, completion)
 
-    if method in ("esop", "esop-rtt"):
-        mode = sim.MODE_PRESERVE
-        if method == "esop":
-            check_spec = pla.expand(table, partial=partial)
-            if dc_minimize:
-                cube_list = esop.spec_to_esop(embed.resolve_dontcares(check_spec, policy))
-            else:
-                cube_list = esop.sop_to_esop(table)
-        else:
-            resolved = embed.resolve_dontcares(pla.expand(table, partial=partial), policy)
-            partial_spec, embedding = embed.rtt_embed(resolved)
-            total = _complete(partial_spec, completion)
-            embed.finish_report(embedding, partial_spec, total)
+    if method == "tbs":
+        raw = tbs.tbs_synthesize(total, direction=direction, deadline=deadline)
+        check_spec, mode = resolved, sim.MODE_MINIMAL
+    else:
+        if method == "esop-rtt":
             # The completed permutation's minterms are already a disjoint ESOP.
             check_spec = _reexpress(total, embedding, table.n, table.m)
             cube_list = esop.spec_to_esop(check_spec)
+        elif dc_minimize:
+            check_spec, cube_list = spec, esop.spec_to_esop(resolved)
+        else:
+            check_spec, cube_list = spec, esop.sop_to_esop(table)
         if minimize:
             cube_list = esop.minimize_esop(cube_list, deadline=deadline)
-        raw = esop.esop_to_circuit(cube_list, source=source, method=method)
-    else:
-        resolved = embed.resolve_dontcares(pla.expand(table, partial=partial), policy)
-        partial_spec, embedding = embed.rtt_embed(resolved)
-        total = _complete(partial_spec, completion)
-        embed.finish_report(embedding, partial_spec, total)
-        check_spec = resolved
-        mode = sim.MODE_MINIMAL
-        options = tbs.TbsOptions(
-            direction=direction,
-            gate_limit=gate_limit,
-            timeout_us=int((deadline - time.monotonic()) * 1e6),
-        )
-        raw = tbs.tbs_synthesize(total, options)
-        raw.source = source
+        raw = esop.esop_to_circuit(cube_list, method=method)
+        mode = sim.MODE_PRESERVE
+    raw.source = source
 
     lowered = circ.lower_polarity(raw)
     elapsed_us = int((time.monotonic() - started) * 1e6)
@@ -368,8 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dc-minimize", action="store_true",
                    help="resolve output don't-cares to minimize duplication")
     p.add_argument("--timeout-s", type=float, default=600.0)
-    p.add_argument("--completion", choices=(COMPLETION_HAMMING, COMPLETION_NAIVE),
-                   default=COMPLETION_HAMMING)
+    p.add_argument("--completion", choices=COMPLETIONS, default="hamming")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("bench", help="run the benchmark table harness")
@@ -378,8 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--timeout-s", type=float, default=600.0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--completion", choices=(COMPLETION_HAMMING, COMPLETION_NAIVE),
-                   default=COMPLETION_HAMMING)
+    p.add_argument("--completion", choices=COMPLETIONS, default="hamming")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="check a circuit netlist against a table")

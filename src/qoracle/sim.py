@@ -7,8 +7,8 @@ from itertools import compress
 
 import numpy as np
 
-from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, NEGATIVE,
-                      Circuit, _qubits)
+from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit,
+                      _from_msb_first, _qubits)
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import NonClassicalGate, NotBijective, RoleMismatch, TooWide
 from .pla import SpecTable
@@ -202,13 +202,8 @@ def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for gate in circuit.gates:
         tbit = 1 << (width - 1 - gate.target)
-        pos = neg = 0
-        for q, pol in gate.controls:
-            bit = 1 << (width - 1 - q)
-            if pol == NEGATIVE:
-                neg |= bit
-            else:
-                pos |= bit
+        pos = _from_msb_first(gate.pos, width)
+        neg = _from_msb_first(gate.neg, width)
         if gate.kind in (KIND_X, KIND_MCX):
             src = np.where((idx & pos == pos) & (idx & neg == 0), idx ^ tbit, idx)
             amps = amps[src]

@@ -8,7 +8,6 @@ collected cascade yields a circuit realizing the original permutation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,20 +17,6 @@ from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
-
-
-@dataclass
-class TbsOptions:
-    direction: str = UNIDIRECTIONAL
-    gate_limit: int = 50_000
-    timeout_us: int | None = None
-    validate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.gate_limit <= 0:
-            raise ValueError("gate_limit must be positive")
 
 
 def _bits_desc(mask: int) -> list[int]:
@@ -91,17 +76,24 @@ def _to_gate(cmask: int, tbit: int, width: int):
     return mcx(width - tbit.bit_length(), _from_msb_first(cmask, width))
 
 
-def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circuit:
-    """Synthesize an MCT cascade realizing the given permutation table."""
-    opts = opts or TbsOptions()
+def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
+                   gate_limit: int = 50_000, deadline: float | None = None,
+                   validate: bool = False) -> Circuit:
+    """Synthesize an MCT cascade realizing the given permutation table.
+
+    ``deadline`` is a ``time.monotonic()`` value; rows are abandoned with
+    ``SynthesisTimeout`` once it passes.  ``validate`` re-checks the fixed
+    prefix after every gate.
+    """
+    if direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
+        raise ValueError(f"unknown direction {direction!r}")
+    if gate_limit <= 0:
+        raise ValueError("gate_limit must be positive")
     if not spec.is_bijection():
         raise NotBijective("TBS needs a total bijection; complete the table first")
     width = spec.width
     size = 1 << width
-    deadline = None
-    if opts.timeout_us is not None:
-        deadline = time.monotonic() + opts.timeout_us / 1e6
-    bidirectional = opts.direction == BIDIRECTIONAL
+    bidirectional = direction == BIDIRECTIONAL
     ident = np.arange(size, dtype=np.int64)
     index = ident.reshape((2,) * width)
     perm = spec.perm.astype(np.int64)
@@ -125,8 +117,8 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
         else:
             take_input = False
         plan = in_plan if take_input else out_plan
-        if len(out_gates) + len(in_gates) + len(plan) > opts.gate_limit:
-            raise GateLimitExceeded(f"over {opts.gate_limit} gates at row {row} of {size}")
+        if len(out_gates) + len(in_gates) + len(plan) > gate_limit:
+            raise GateLimitExceeded(f"over {gate_limit} gates at row {row} of {size}")
         for cmask, tbit in plan:
             if take_input:
                 _swap(perm, inv, index, cmask, tbit)
@@ -136,9 +128,9 @@ def tbs_synthesize(spec: ReversibleSpec, opts: TbsOptions | None = None) -> Circ
                 out_gates.append((cmask, tbit))
             # Chosen controls can never all be present in an earlier row's
             # pattern, so the processed prefix must stay fixed gate by gate.
-            if opts.validate and not np.array_equal(perm[:row], ident[:row]):
+            if validate and not np.array_equal(perm[:row], ident[:row]):
                 raise AssertionError(f"a row before {row} was disturbed")
-        if opts.validate and not np.array_equal(perm[: row + 1], ident[: row + 1]):
+        if validate and not np.array_equal(perm[: row + 1], ident[: row + 1]):
             raise AssertionError(f"row {row} not fixed after its gates")
 
     gates = [_to_gate(c, t, width) for c, t in in_gates]

@@ -132,15 +132,11 @@ def test_criterion_04_every_ok_item_verifies_in_full(matrix):
 
 def test_criterion_05_tbs_soundness_sweep():
     start = time.monotonic()
-    options = (
-        tbs.TbsOptions(),
-        tbs.TbsOptions(direction=tbs.BIDIRECTIONAL),
-    )
     checked = 0
     for perm in itertools.permutations(range(8)):
         spec = embed.ReversibleSpec(3, np.array(perm, dtype=np.int64))
-        for opts in options:
-            circuit = tbs.tbs_synthesize(spec, opts)
+        for direction in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
+            circuit = tbs.tbs_synthesize(spec, direction=direction)
             assert tuple(sim.induced_permutation(circuit).map.tolist()) == perm
             checked += 1
     elapsed = time.monotonic() - start

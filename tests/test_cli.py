@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,48 @@ def test_synth_fractional_timeout(tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("timeout:")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("method", ["tbs", "esop-rtt"])
+def test_synth_naive_completion(tmp_path, capsys, method):
+    assert main([
+        "synth", "--in", SQUAR5, "--method", method, "--completion", "naive",
+        "--out", str(tmp_path / "c.qasm"),
+    ]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+
+
+def test_run_synthesis_rejects_unknown_completion():
+    table = pla.parse_pla(Path(SQUAR5).read_text())
+    with pytest.raises(ValueError):
+        cli.run_synthesis(table, "tbs", completion="bogus")
+
+
+STAGES = {
+    "esop": ("esop.sop_to_esop", "esop.minimize_esop", "sim.verify_oracle"),
+    "esop-rtt": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
+                 "esop.spec_to_esop", "esop.minimize_esop", "sim.verify_oracle"),
+    "tbs": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
+            "tbs.tbs_synthesize", "sim.verify_oracle"),
+}
+
+
+@pytest.mark.parametrize("method", list(STAGES))
+def test_run_synthesis_looks_stages_up_at_call_time(monkeypatch, method):
+    """Each stage runs through its module attribute, so a patched one is seen."""
+    calls = Counter()
+    for name in sorted(set().union(*STAGES.values())):
+        module, attr = name.split(".")
+        module = getattr(qoracle, module)
+        original = getattr(module, attr)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, record)
+    cli.run_synthesis(pla.parse_pla(Path(SQUAR5).read_text()), method)
+    assert calls == Counter(STAGES[method])
 
 
 def test_synth_too_large_exits_4(tmp_path):

@@ -19,8 +19,7 @@ def make_spec(width, perm):
 
 def synth(perm, direction=tbs.UNIDIRECTIONAL, **kw):
     width = (len(perm) - 1).bit_length()
-    opts = tbs.TbsOptions(direction=direction, **kw)
-    return tbs.tbs_synthesize(make_spec(width, perm), opts)
+    return tbs.tbs_synthesize(make_spec(width, perm), direction=direction, **kw)
 
 
 def reference_tbs(perm, width, bidirectional):
@@ -180,7 +179,15 @@ def test_timeout_enforced():
     rng = np.random.default_rng(4)
     perm = rng.permutation(256).tolist()
     with pytest.raises(SynthesisTimeout):
-        synth(perm, timeout_us=0)
+        synth(perm, deadline=0.0)
+
+
+def test_rejects_bad_arguments():
+    spec = make_spec(2, [0, 1, 3, 2])
+    with pytest.raises(ValueError):
+        tbs.tbs_synthesize(spec, direction="sideways")
+    with pytest.raises(ValueError):
+        tbs.tbs_synthesize(spec, gate_limit=0)
 
 
 def test_width_matches_embedding(bench_tables):
