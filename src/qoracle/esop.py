@@ -7,12 +7,20 @@ when their literals differ in d positions; distance-0 pairs cancel under
 XOR, distance-1 pairs merge into a single cube, and distance-2 pairs can be
 rewritten into an equivalent pair that may unlock further merging.  Every
 step is deterministic and depends on the order cubes are inserted.
+
+An output column whose cubes are all fully specified (every esop-rtt column,
+and esop with don't-care minimization) first has its minterms paired in bulk
+with numpy: repeated minterms cancel by parity, then adjacent pairs merge one
+mask bit at a time, least significant first.  The insertion cascade gets the
+much shorter list that is left.
 """
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
@@ -174,7 +182,9 @@ class _ColumnSet:
 
     Inserting a cube cancels it against an identical live cube or merges it
     with a distance-1 partner, repeating until no interaction remains, so
-    the set stays saturated under distance-0/1 reduction at all times.
+    the set stays saturated under distance-0/1 reduction at all times.  It
+    is the only insertion code; a fully specified column reaches it after
+    ``_pair_minterms`` has done the bulk of its merging.
 
     ``by_key`` maps the key of each (live cube, bit k) to the cube's id: care,
     value and k packed into one int with care and value bit k forced to 1,
@@ -279,29 +289,93 @@ def _distance2_sweep(column: _ColumnSet) -> bool:
     return changed
 
 
+#: Widest fully specified column paired in numpy: care and value are int64.
+_PAIR_MAX_N = 62
+
+
+def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Distance-0/1 reduction of one column of minterms, in bulk.
+
+    Repeated minterms cancel in pairs; an odd count keeps the first
+    appearance.  Then for mask bit k = 0 .. n-1, the order the cascade
+    probes, every two cubes with the same care that differ only in value
+    bit k merge into one cube with '-' at k.  The cubes stay pairwise
+    disjoint, so a (care, value without bit k) group holds at most two.
+    Each merged cube keeps the smaller first-appearance rank of its pair,
+    and the cubes come back in rank order.
+    """
+    value, rank, counts = np.unique(values, return_index=True, return_counts=True)
+    odd = counts % 2 == 1
+    value, rank = value[odd], rank[odd]
+    care = np.full(len(value), (1 << n) - 1, dtype=np.int64)
+    for k in range(n):
+        if len(value) < 2:
+            break
+        bit = 1 << k
+        cand = np.flatnonzero(care & bit)
+        rest = value[cand] & ~bit
+        perm = np.lexsort((rest, care[cand]))
+        order, rest = cand[perm], rest[perm]
+        same = (care[order[1:]] == care[order[:-1]]) & (rest[1:] == rest[:-1])
+        keep, drop = order[:-1][same], order[1:][same]
+        care[keep] &= ~bit
+        value[keep] &= ~bit
+        rank[keep] = np.minimum(rank[keep], rank[drop])
+        live = np.ones(len(value), dtype=bool)
+        live[drop] = False
+        care, value, rank = care[live], value[live], rank[live]
+    order = np.argsort(rank)
+    return list(zip(care[order].tolist(), value[order].tolist()))
+
+
+def _column_cubes(cubes: EsopCubeList, deadline: float | None):
+    """Yield each output column's cubes in row order, pairing minterm columns.
+
+    The rows are split into per-column index arrays once; a column is paired
+    by ``_pair_minterms`` only when every cube in it is fully specified.  The
+    deadline is checked before each column.
+    """
+    rows, n, m = cubes.rows, cubes.n, cubes.m
+    width = (m + 7) // 8
+    marks = b"".join(outs.to_bytes(width, "big") for _, _, outs in rows)
+    bits = np.unpackbits(np.frombuffer(marks, np.uint8).reshape(len(rows), width), axis=1)
+    members = bits[:, 8 * width - m:].T
+    pairs = [row[:2] for row in rows]
+    masks = np.array(pairs, dtype=np.int64).reshape(-1, 2) if n <= _PAIR_MAX_N else None
+    for j in range(m):
+        _check_deadline(deadline)
+        index = np.flatnonzero(members[j])
+        if masks is not None and (masks[index, 0] == (1 << n) - 1).all():
+            yield _pair_minterms(masks[index, 1], n)
+        else:
+            yield [pairs[i] for i in index.tolist()]
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SynthesisTimeout("ESOP minimization ran out of time")
+
+
 def minimize_esop(cubes: EsopCubeList, passes: int = 10,
                   deadline: float | None = None) -> EsopCubeList:
     """Shrink an ESOP cube list without changing its XOR semantics.
 
     Each pass saturates distance-0 cancellation and distance-1 merging per
     output column, then tries conditional distance-2 rewrites; it stops
-    after a pass with no reduction or after ``passes`` passes.  The result
-    never has more cubes than the input.
+    after a pass with no reduction or after ``passes`` passes.  The
+    deadline is checked before each column is built and before each pass.
+    The result never has more cubes than the input.
     """
-    columns = [
-        _ColumnSet(cubes.n, [(c, v) for c, v, outs in cubes.rows if outs >> (cubes.m - 1 - j) & 1])
-        for j in range(cubes.m)
-    ]
+    columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes, deadline)]
     for _ in range(max(passes, 1)):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SynthesisTimeout("ESOP minimization ran out of time")
+        _check_deadline(deadline)
         if not any([_distance2_sweep(col) for col in columns if col.dirty]):
             break
     result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
     return cubes if len(result.rows) > len(cubes.rows) else result
 
 
-def esop_to_circuit(cubes: EsopCubeList, source: str = "", method: str = "esop") -> Circuit:
+def esop_to_circuit(cubes: EsopCubeList, method: str = "esop") -> Circuit:
     """Map each (cube, asserted output column) pair to one Toffoli gate.
 
     The circuit spans n+m qubits: the first n carry and preserve the domain
@@ -315,6 +389,6 @@ def esop_to_circuit(cubes: EsopCubeList, source: str = "", method: str = "esop")
         for j in range(m):
             if outs >> (m - 1 - j) & 1:
                 gates.append(mcx(n + j, pos, neg))
-    return Circuit(width=n + m, gates=gates, source=source, method=method,
+    return Circuit(width=n + m, gates=gates, method=method,
                    roles_in=(ROLE_INPUT,) * n + (ROLE_ANCILLA,) * m,
                    roles_out=(ROLE_INPUT,) * n + (ROLE_OUTPUT,) * m)

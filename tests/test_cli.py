@@ -120,6 +120,22 @@ def test_synth_naive_completion(tmp_path, capsys, method):
     assert capsys.readouterr().out.rstrip().endswith("PASS")
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in BENCH_DIR.glob("*.pla")))
+def test_run_synthesis_dc_minimize_verifies(bench_tables, name):
+    table = bench_tables[name]
+    result = cli.run_synthesis(table, "esop", dc_minimize=True)
+    assert result.verification.passed
+    assert result.circuit.width == table.n + table.m
+
+
+def test_synth_dc_minimize(tmp_path, capsys):
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "esop", "--dc-minimize",
+        "--out", str(tmp_path / "c.qasm"),
+    ]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+
+
 def test_run_synthesis_rejects_unknown_completion():
     table = pla.parse_pla(Path(SQUAR5).read_text())
     with pytest.raises(ValueError):

@@ -58,7 +58,8 @@ def test_json_roundtrip_empty():
 
 def test_json_roundtrip_with_metadata():
     cubes = esop.EsopCubeList(2, 1, [pla.Cube("10", "1")])
-    c = esop.esop_to_circuit(cubes, source="demo", method="esop")
+    c = esop.esop_to_circuit(cubes, method="esop")
+    c.source = "demo"
     again = emit.from_json(emit.to_json(c))
     assert again == c
     assert again.source == "demo" and again.method == "esop"

@@ -1,12 +1,17 @@
 """ESOP conversion, minimization and the Toffoli mapping."""
 from __future__ import annotations
 
+import random
+import time
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
 from qoracle import esop, pla, sim
+from qoracle.errors import SynthesisTimeout
 
 from conftest import pla_tables
 
@@ -225,3 +230,91 @@ def test_spec_to_esop_matches_the_table_route(table, partial):
     assert direct == esop.sop_to_esop(pla.table_from_spec(spec))
     assert esop.minimize_esop(direct) == esop.minimize_esop(
         esop.sop_to_esop(pla.table_from_spec(spec)))
+
+
+def xor_words(cubes: esop.EsopCubeList) -> np.ndarray:
+    """XOR-semantics output word of every minterm, from the cube masks."""
+    xs = np.arange(1 << cubes.n)
+    words = np.zeros(1 << cubes.n, dtype=np.int64)
+    for care, value, outs in cubes.rows:
+        words[xs & care == value] ^= outs
+    return words
+
+
+@st.composite
+def minterm_lists(draw):
+    """Fully specified rows drawn from one or two small subcubes.
+
+    The subcubes keep the points dense, so rows repeat minterms within a
+    column and across outputs and many pairs are one bit apart.
+    """
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 3))
+    full = (1 << n) - 1
+    subcubes = draw(st.lists(st.tuples(st.integers(0, full), st.integers(0, full)),
+                             min_size=1, max_size=2))
+    points = st.builds(lambda sub, x: sub[0] & ~sub[1] | x & sub[1],
+                       st.sampled_from(subcubes), st.integers(0, full))
+    rows = draw(st.lists(st.tuples(points, st.integers(1, (1 << m) - 1)), max_size=60))
+    return esop.EsopCubeList(n, m, rows=[(full, x, outs) for x, outs in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(minterm_lists())
+def test_minimize_minterm_columns_keeps_xor_semantics(cubes):
+    result = esop.minimize_esop(cubes)
+    assert np.array_equal(xor_words(result), xor_words(cubes))
+    assert len(result.rows) <= len(cubes.rows)
+
+
+def test_minimize_wide_minterm_column_keeps_xor_semantics():
+    rng = random.Random(7)
+    n = 40
+    full = (1 << n) - 1
+    base = rng.getrandbits(n)
+    free = [1 << k for k in rng.sample(range(n), 6)]
+    points = [base ^ sum(rng.sample(free, rng.randint(0, 6))) for _ in range(80)]
+    cubes = esop.EsopCubeList(n, 2, rows=[(full, x, rng.randint(1, 3)) for x in points])
+    result = esop.minimize_esop(cubes)
+    assert len(result.rows) < len(cubes.rows)
+    samples = points + [x ^ bit for x in points[:10] for bit in free] + [
+        rng.getrandbits(n) for _ in range(200)]
+    for x in samples:
+        assert mask_eval(result.cubes, x, xor=True) == mask_eval(cubes.cubes, x, xor=True)
+
+
+def test_minimize_is_deterministic():
+    rng = random.Random(3)
+    rows = [((1 << 8) - 1, rng.getrandbits(8), rng.randint(1, 7)) for _ in range(300)]
+    first = esop.minimize_esop(esop.EsopCubeList(8, 3, rows=list(rows)))
+    again = esop.minimize_esop(esop.EsopCubeList(8, 3, rows=list(rows)))
+    assert first.rows == again.rows
+
+
+def test_minterm_pairing_bit_order_and_rank():
+    # 000 pairs with 001 at bit 0 before it could pair with 100 at bit 2,
+    # and 00- takes the rank of 001, so it comes before 100.
+    cubes = esop.EsopCubeList(3, 1, [pla.Cube(x, "1") for x in ("001", "100", "000")])
+    result = esop.minimize_esop(cubes)
+    assert [(c.inputs, c.outputs) for c in result.cubes] == [("00-", "1"), ("100", "1")]
+    assert truth_table(result) == truth_table(cubes)
+    # Three copies of 101 leave one, at the first copy's rank.
+    cubes = esop.EsopCubeList(3, 1, [pla.Cube(x, "1") for x in ("101", "010", "101", "101")])
+    result = esop.minimize_esop(cubes)
+    assert [(c.inputs, c.outputs) for c in result.cubes] == [("101", "1"), ("010", "1")]
+
+
+@pytest.mark.parametrize("literals", [("110", "111", "011"), ("1-0", "111")])
+def test_minimize_checks_deadline_before_building_columns(monkeypatch, literals):
+    inserted = []
+    insert = esop._ColumnSet.insert
+
+    def record(self, cube):
+        inserted.append(cube)
+        return insert(self, cube)
+
+    monkeypatch.setattr(esop._ColumnSet, "insert", record)
+    cubes = esop.EsopCubeList(3, 2, [pla.Cube(x, "11") for x in literals])
+    with pytest.raises(SynthesisTimeout):
+        esop.minimize_esop(cubes, deadline=time.monotonic() - 1)
+    assert inserted == []
