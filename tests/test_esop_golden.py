@@ -29,20 +29,20 @@ GOLDEN = [
      "f33a8331c52274baf6e48e9e08c8785d6bf0ce46b946f6dfc0c234efa6f9638e",
      "2f2ba4fdf3eed06b0bd0c1a5c4c612a515b49c68dc68ce18e0ff19aec017b217"),
     ("Z5xp1", "esop-rtt", UNI, "ok",
-     "9650d43417106aad7fb0ec58405288e4cd399ad215fc7b2d0ae9c2e0d2adb166",
-     "0a447252d8c5f0c5457daa956a419cb7f631ec0120ab7e48ce0b32ad41bbd082"),
+     "4e220a247d87ab79f3421f56baedb0569815afe63d1f67b5915069fb5fa00007",
+     "612e16b216f2bfdb71dcf3820c2718ee7f53dfe89fa8708a8c9b8295cd2a51a5"),
     ("Z9sym", "esop", UNI, "ok",
      "fbfd425b35e39f28ebf5e985c363aa0a60198c2be3ff29d565b73bd0df792d43",
      "ec02086107302e0b560c71eb6eb1fdade883b5492538b96c2d498e5be653c5c4"),
     ("Z9sym", "esop-rtt", UNI, "ok",
-     "3b1df0f1280a2af2f8ef72daea695c3293380958c0381edb7cf3b729f972aaf3",
-     "acf95fcf092460dbf0f2eb8c016079e291328793ff8cde754a628d72fc71f86d"),
+     "ce56bb2af67a379abc225db49c49c3d3db002b23fd68cdcce0b41b8a402c2670",
+     "2d8ebb058247b2998a83fa8f7db601067830783dcd0143d70571c36a38421baf"),
     ("addm4", "esop", UNI, "ok",
      "56990c5b3bd7ae44d5f1f346e5c61d5554bcd9092df041be39901e786cd40f20",
      "806ee7ee8d740219ca5b7367d20b4820954fd9271f4010cc28055680ae216db2"),
     ("addm4", "esop-rtt", UNI, "ok",
-     "d60bee52ebbce315a1434381e0ab83d41ed755f268cf44022713b96b25dc3cb5",
-     "9a3b9ce2684b3e72e0dda5bcb044622d8b01dd3db4fb0e62fcf6ccf3a3cfd375"),
+     "1ee2e6e5f6ca674caf460ec9b7e1296e9723863345e104dbe17a3e4dbd806755",
+     "a7a2907c0c9d4f3e2d544ef1dacca9b8da11c9838dc4c7fc41400ca646c60812"),
     ("apex4", "esop", UNI, "ok",
      "b81802fbb99cd15b748d8669cb01008e656d5d4871d8e3f3adc3479f252d5a5f",
      "2441669d308ffa523c5d567ed59ff51ade5ea74f1310462582ba3b5ec6bbfd29"),
@@ -55,14 +55,14 @@ GOLDEN = [
      "a19a86666edaab48a67a5687a1a1ef83401bf6526fe527457db104160866f211",
      "4e5969ec5edb2a394bfa5d84d3fa1908661a9d24ae9f87f80b37630e6c8b2805"),
     ("clip", "esop-rtt", UNI, "ok",
-     "d34935ec3db611b97a4d2e0b43cb7068f9e25bf404c9a11c8bca684246f66ff5",
-     "adeccca013dd88df88a2d0d6a95c2195b218333039805a6e16821d4db26af148"),
+     "0531f6fd5ed793e75f91957fe8949ac0c8fce905659b79ebdae05c8ab480a546",
+     "0a42fa519ad5d91ca1024bad6c09a5bfd043bb05c9b272161d6f4d89e506268d"),
     ("dist", "esop", UNI, "ok",
      "79a7c28238ac5ef5c24760d3b33d9de04820e37ac01d2053f98efc9b6645b618",
      "02b4a61cefa0a7251067fdd8ceaf0608c59ecccb336c06661d6212281468db35"),
     ("dist", "esop-rtt", UNI, "ok",
-     "60f59b7643b487c53afa9608a7a3d1f529f0775f7d99fb2c95bdc0c0cc42c826",
-     "d5964400d1183f4384e4f938f5880a33c0ff6067f12dc9ea16a71a836a22fcd1"),
+     "dd3b2abbd3598b6e627a780d38e509ac38bc05e096e8a0e6f3d478b1417907e4",
+     "08d9b90ed30816ce773dcf50d0b0f8ebd7319ad1c68868989798c903e5302cc9"),
     ("ex5", "esop", UNI, "ok",
      "044936f0f88a44231ef0c2a88bf8d093f7f895835a820b8672d941e5499e1bb9",
      "c2689e73c3c561db4d91f6a6bb15a56105d30ff741331454d07e45d7d2902dc0"),
@@ -77,20 +77,20 @@ GOLDEN = [
      "58232060f9adc37ab241b0e205fca1612fe0fa105ce893bae717bcbb96b64611",
      "2dbfac9a08d80e464ef156e4b04dfb0ae15eb12b4cee62b1490dd163b7433e2d"),
     ("inc", "esop-rtt", UNI, "ok",
-     "e07b26ebcab5821ef89746aa998d0d3b9ed06bd77c6976b03eb6e2b2cb6be913",
-     "12b1a88ab49f76d275bf75c4e385cece7d4a812a34fb3d54f4985dd98ceb4940"),
+     "30a72ddf05fa85d17f8786f05518773f01258ac11dd2b0bcb797f295d9faaaa6",
+     "4e7b0dc8abe45f0a1082f56a2099a4dc4bcb252e2ae1b8211eee6ab161ba0d98"),
     ("mlp4", "esop", UNI, "ok",
      "528f65682a27e062a6d6a3ead758e009fa6db3ca4e500e02c311e58fa441348c",
      "d2663855a3fecdbc4ab195839646c93a719fc3706a8df01b6c535929aaf4598d"),
     ("mlp4", "esop-rtt", UNI, "ok",
-     "54910fd8d97f30d3cb6e99168a56c20668dbc88c4c4260477a0b3c3e520025f5",
-     "76162eacd03bf413ffcb7c49a548acc6d614e28e87c0022032f1ca9220b89b65"),
+     "4af1a151332b91b27840d57abe7a1c380e41a2acde345d13acccb3807ee3c4d3",
+     "f37eb90e7f79c724ad87cad91faf9e7205f51b20bfbc00c7d760cff31381f902"),
     ("squar5", "esop", UNI, "ok",
      "085ee34efb52d7f04ae75eba08bafe41fbc9e92e9ede8d30ae4976d77ce2625d",
      "90ab57a2e6e62da7f25d2cffd540951caf1103d10b90f55c0f52829e2f4b9421"),
     ("squar5", "esop-rtt", UNI, "ok",
-     "e02658ab86d3c2fc19516866706fea825aca24604866855f0d66e2d1ba184553",
-     "abf9424bc9f4dfb3570de57e5517686391b8ccd681c887874964c28b38f91f78"),
+     "c896046d1e5da81db030c6e7bdcbddea9f58a5899f9e696a82bd8ff44867a535",
+     "6dee8bb7d2e7546ba3eb32db6069edb2183d04931e51bcdeaf5f423fd3d5d06e"),
     ("Z5xp1", "tbs", UNI, "ok",
      "76933bedb8a1ee282125fb25a05fc6a4219d19cfec92342db039583617010427",
      "c62b25a3635e8c8dbe8ec1553c7f97fce6056e40a9334480bc0877a05943d4d2"),
