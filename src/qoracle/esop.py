@@ -328,6 +328,11 @@ def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
     return list(zip(care[order].tolist(), value[order].tolist()))
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SynthesisTimeout("ESOP minimization ran out of time")
+
+
 def _column_cubes(cubes: EsopCubeList, deadline: float | None):
     """Yield each output column's cubes in row order, pairing minterm columns.
 
@@ -340,20 +345,15 @@ def _column_cubes(cubes: EsopCubeList, deadline: float | None):
     marks = b"".join(outs.to_bytes(width, "big") for _, _, outs in rows)
     bits = np.unpackbits(np.frombuffer(marks, np.uint8).reshape(len(rows), width), axis=1)
     members = bits[:, 8 * width - m:].T
-    pairs = [row[:2] for row in rows]
-    masks = np.array(pairs, dtype=np.int64).reshape(-1, 2) if n <= _PAIR_MAX_N else None
+    cube_masks = [row[:2] for row in rows]
+    table = np.array(cube_masks, dtype=np.int64).reshape(-1, 2) if n <= _PAIR_MAX_N else None
     for j in range(m):
         _check_deadline(deadline)
         index = np.flatnonzero(members[j])
-        if masks is not None and (masks[index, 0] == (1 << n) - 1).all():
-            yield _pair_minterms(masks[index, 1], n)
+        if table is not None and (table[index, 0] == (1 << n) - 1).all():
+            yield _pair_minterms(table[index, 1], n)
         else:
-            yield [pairs[i] for i in index.tolist()]
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SynthesisTimeout("ESOP minimization ran out of time")
+            yield [cube_masks[i] for i in index.tolist()]
 
 
 def minimize_esop(cubes: EsopCubeList, passes: int = 10,

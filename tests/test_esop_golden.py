@@ -3,6 +3,9 @@ bundled benchmarks.
 
 The ESOP minimizer's result depends on the order cubes are inserted, so any
 change to cube order or count shows up here as a different QASM digest.
+The esop-rtt rows also pin the bulk minterm pairing that runs before the
+insertion cascade: its bit order and the rank order of the cubes it hands
+on.  Plain esop columns hold dashed cubes and skip that step.
 TBS is pinned in both directions: its gate list depends on the row order and
 on which side of the table each row is fixed from, so any change to the
 table updates or to the cost comparison shows up here too.  The JSON
