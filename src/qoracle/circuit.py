@@ -8,9 +8,6 @@ from typing import NamedTuple
 from .errors import NotLowered
 from .embed import ROLE_INPUT, ROLE_OUTPUT
 
-POSITIVE = "+"
-NEGATIVE = "-"
-
 KIND_X = "x"
 KIND_MCX = "mcx"
 KIND_H = "h"
@@ -49,12 +46,6 @@ class Gate(NamedTuple):
     target: int
     pos: int = 0
     neg: int = 0
-
-    @property
-    def controls(self) -> tuple[tuple[int, str], ...]:
-        """(qubit, polarity) pairs in ascending qubit order."""
-        return tuple((q, POSITIVE if self.pos >> q & 1 else NEGATIVE)
-                     for q in _qubits(self.pos | self.neg))
 
     @property
     def cost(self) -> int:
@@ -183,12 +174,11 @@ def complexity(circuit: Circuit) -> int:
     return sum(gate.cost for gate in circuit.gates)
 
 
-def metrics(circuit: Circuit, elapsed_us: int, status: str = "ok") -> MetricsReport:
+def metrics(circuit: Circuit, elapsed_us: int) -> MetricsReport:
     """Assemble the standard report for a finished synthesis run."""
     return MetricsReport(
         qubits=circuit.width,
         gate_count=len(circuit.gates),
         complexity=complexity(circuit),
         time_us=elapsed_us,
-        status=status,
     )

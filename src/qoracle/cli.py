@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -211,7 +212,14 @@ def write_bench_csv(rows: list[BenchRow], fh: TextIO) -> None:
 
 # --- subcommand implementations ---------------------------------------------
 
+def _require_positive(flag: str, value: float) -> None:
+    """Reject zero, negative, infinite and NaN option values."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{flag} must be a finite number above 0, got {value}")
+
+
 def _cmd_synth(args) -> int:
+    _require_positive("--timeout-s", args.timeout_s)
     table = pla.parse_pla(Path(args.infile).read_text())
     result = run_synthesis(
         table,
@@ -245,6 +253,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _require_positive("--timeout-s", args.timeout_s)
     bench_dir = Path(args.dir)
     if not bench_dir.is_dir():
         print(f"no such benchmark directory: {bench_dir}", file=sys.stderr)
@@ -277,6 +286,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_grover(args) -> int:
+    _require_positive("--shots", args.shots)
     if args.deck == bool(args.pla):
         print("choose exactly one of --deck --query ... or --pla FILE", file=sys.stderr)
         return EXIT_USAGE
@@ -301,7 +311,7 @@ def _cmd_grover(args) -> int:
     plan = grover.plan_search(n, len(marked), iterations)
     search = grover.build_grover(oracle, plan.iterations)
     state = grover.search_state(search)
-    probs = grover.search_distribution(search)
+    probs = sim.marginal_probabilities(state, n)
 
     counts_full = sim.sample(state, args.shots, args.seed)
     counts: dict[str, int] = {}

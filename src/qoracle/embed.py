@@ -7,9 +7,8 @@ permutation on all 2^N bit patterns.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +38,6 @@ class EmbeddingReport:
     completed_rows: int = 0
     identical_pairings: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
 
 @dataclass
 class ReversibleSpec:
@@ -61,13 +57,9 @@ class ReversibleSpec:
         if not self.roles_out:
             self.roles_out = (ROLE_OUTPUT,) * self.width
 
-    def is_total(self) -> bool:
-        return bool((self.perm >= 0).all())
-
     def is_bijection(self) -> bool:
-        return self.is_total() and bool(
-            np.array_equal(np.sort(self.perm), np.arange(1 << self.width))
-        )
+        """Whether every row is specified and the rows form a permutation."""
+        return bool(np.array_equal(np.sort(self.perm), np.arange(1 << self.width)))
 
 
 def max_output_multiplicity(spec: SpecTable) -> int:
@@ -123,9 +115,7 @@ def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable
     return SpecTable(n=spec.n, m=spec.m, entries=entries)
 
 
-def rtt_embed(
-    spec: SpecTable, *, limit: int = EXPANSION_LIMIT
-) -> tuple[ReversibleSpec, EmbeddingReport]:
+def rtt_embed(spec: SpecTable) -> tuple[ReversibleSpec, EmbeddingReport]:
     """Differentiate duplicated outputs with garbage counters.
 
     Ancilla columns sit after the function inputs, garbage counters after the
@@ -139,9 +129,9 @@ def rtt_embed(
     v = (d - 1).bit_length() if d >= 2 else 0
     w = max(0, v + spec.m - spec.n)
     n_total = max(spec.n + w, spec.m + v)
-    if n_total > limit:
+    if n_total > EXPANSION_LIMIT:
         raise TooWide(
-            f"embedding needs {n_total} bits, over the expansion limit of {limit}"
+            f"embedding needs {n_total} bits, over the expansion limit of {EXPANSION_LIMIT}"
         )
     pad = n_total - spec.m - v
     perm = np.full(1 << n_total, UNSPECIFIED, dtype=np.int64)
@@ -206,18 +196,11 @@ def complete_onto_hamming(partial: ReversibleSpec) -> ReversibleSpec:
     return ReversibleSpec(partial.width, perm, partial.roles_in, partial.roles_out)
 
 
-def completion_stats(partial: ReversibleSpec, total: ReversibleSpec) -> tuple[int, int]:
-    """(completed row count, rows the completion mapped to themselves)."""
-    holes = partial.perm == UNSPECIFIED
-    completed = int(holes.sum())
-    idx = np.flatnonzero(holes)
-    identical = int((total.perm[idx] == idx).sum())
-    return completed, identical
-
-
 def finish_report(
     report: EmbeddingReport, partial: ReversibleSpec, total: ReversibleSpec
 ) -> EmbeddingReport:
-    """Fill the completion counters of an embedding report in place."""
-    report.completed_rows, report.identical_pairings = completion_stats(partial, total)
+    """Count, in place, the rows the completion filled and those it fixed."""
+    holes = np.flatnonzero(partial.perm == UNSPECIFIED)
+    report.completed_rows = len(holes)
+    report.identical_pairings = int((total.perm[holes] == holes).sum())
     return report

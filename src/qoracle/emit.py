@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import json
 
-from .circuit import (KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, NEGATIVE, POSITIVE,
-                      Circuit, Gate, _qubits)
+from .circuit import KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, Gate, _qubits
 from .errors import NegativeControlPresent, ParseError
+
+#: Netlist spelling of a control's polarity.
+POSITIVE = "+"
+NEGATIVE = "-"
 
 _SIMPLE = {KIND_X: "x", KIND_H: "h", KIND_Z: "z"}
 _CONTROLLED = {KIND_MCX: "x", KIND_MCZ: "z"}

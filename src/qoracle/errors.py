@@ -31,6 +31,10 @@ class DuplicateDomain(QOracleError):
     """An integer value table lists the same domain value twice."""
 
 
+class NegativeValue(QOracleError):
+    """An integer value table lists a negative domain or range value."""
+
+
 # --- embedding ----------------------------------------------------------------
 
 class UnresolvedDontCare(QOracleError):

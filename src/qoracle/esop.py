@@ -17,7 +17,6 @@ much shorter list that is left.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,12 @@ import numpy as np
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import SynthesisTimeout
-from .pla import Cube, PlaTable, SpecTable
+from .pla import PlaTable, SpecTable
 
 Row = tuple[int, int, int]
+
+#: Most minimization passes, each a distance-2 sweep over the changed columns.
+MAX_PASSES = 10
 
 
 def _masks(literals: str) -> tuple[int, int]:
@@ -35,52 +37,13 @@ def _masks(literals: str) -> tuple[int, int]:
     return int(literals.replace("0", "1").replace("-", "0"), 2), int(literals.replace("-", "0"), 2)
 
 
-def _literals(care: int, value: int, n: int) -> str:
-    return "".join("1" if value >> k & 1 else "0" if care >> k & 1 else "-"
-                   for k in range(n - 1, -1, -1))
-
-
-class _CubeView(Sequence):
-    """Read-only ``list[Cube]`` view of a cube list's rows, rendered on access."""
-
-    def __init__(self, cubes: "EsopCubeList"):
-        self._cubes = cubes
-
-    def __len__(self) -> int:
-        return len(self._cubes.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        care, value, outs = self._cubes.rows[index]
-        return Cube(_literals(care, value, self._cubes.n), format(outs, f"0{self._cubes.m}b"))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
-@dataclass(init=False)
+@dataclass
 class EsopCubeList:
-    """Cubes read with XOR semantics per output column.
-
-    Each cube is one (care, value, outmask) row.  ``EsopCubeList(n, m,
-    [Cube, ...])`` parses the Cubes once ('-' output marks read as 0), and
-    ``cubes`` renders the rows back as Cubes.
-    """
+    """Cubes read with XOR semantics per output column, one (care, value, outmask) row each."""
 
     n: int
     m: int
-    rows: list[Row]
-
-    def __init__(self, n: int, m: int, cubes=(), *, rows: list[Row] | None = None):
-        self.n, self.m = n, m
-        if rows is None:
-            rows = [(*_masks(c.inputs), _masks(c.outputs)[1]) for c in cubes]
-        self.rows = rows
-
-    @property
-    def cubes(self) -> _CubeView:
-        return _CubeView(self)
+    cubes: list[Row]
 
 
 def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, int]]:
@@ -153,7 +116,7 @@ def spec_to_esop(spec: SpecTable) -> EsopCubeList:
     full = (1 << spec.n) - 1
     rows = sorted(((full, x, v) for x, (v, _) in sorted(spec.entries.items()) if v),
                   key=lambda row: -row[2].bit_length())
-    return EsopCubeList(spec.n, spec.m, rows=rows)
+    return EsopCubeList(spec.n, spec.m, rows)
 
 
 def _assemble(n: int, m: int, columns: list[list[tuple[int, int]]]) -> EsopCubeList:
@@ -163,7 +126,7 @@ def _assemble(n: int, m: int, columns: list[list[tuple[int, int]]]) -> EsopCubeL
         bit = 1 << (m - 1 - j)
         for cube in cubes:
             marks[cube] = marks.get(cube, 0) | bit
-    return EsopCubeList(n, m, rows=[(c, v, outs) for (c, v), outs in marks.items()])
+    return EsopCubeList(n, m, [(c, v, outs) for (c, v), outs in marks.items()])
 
 
 def _merge_literal(bit: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -340,7 +303,7 @@ def _column_cubes(cubes: EsopCubeList, deadline: float | None):
     by ``_pair_minterms`` only when every cube in it is fully specified.  The
     deadline is checked before each column.
     """
-    rows, n, m = cubes.rows, cubes.n, cubes.m
+    rows, n, m = cubes.cubes, cubes.n, cubes.m
     width = (m + 7) // 8
     marks = b"".join(outs.to_bytes(width, "big") for _, _, outs in rows)
     bits = np.unpackbits(np.frombuffer(marks, np.uint8).reshape(len(rows), width), axis=1)
@@ -356,23 +319,22 @@ def _column_cubes(cubes: EsopCubeList, deadline: float | None):
             yield [cube_masks[i] for i in index.tolist()]
 
 
-def minimize_esop(cubes: EsopCubeList, passes: int = 10,
-                  deadline: float | None = None) -> EsopCubeList:
+def minimize_esop(cubes: EsopCubeList, deadline: float | None = None) -> EsopCubeList:
     """Shrink an ESOP cube list without changing its XOR semantics.
 
     Each pass saturates distance-0 cancellation and distance-1 merging per
     output column, then tries conditional distance-2 rewrites; it stops
-    after a pass with no reduction or after ``passes`` passes.  The
+    after a pass with no reduction or after ``MAX_PASSES`` passes.  The
     deadline is checked before each column is built and before each pass.
     The result never has more cubes than the input.
     """
     columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes, deadline)]
-    for _ in range(max(passes, 1)):
+    for _ in range(MAX_PASSES):
         _check_deadline(deadline)
         if not any([_distance2_sweep(col) for col in columns if col.dirty]):
             break
     result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
-    return cubes if len(result.rows) > len(cubes.rows) else result
+    return cubes if len(result.cubes) > len(cubes.cubes) else result
 
 
 def esop_to_circuit(cubes: EsopCubeList, method: str = "esop") -> Circuit:
@@ -384,7 +346,7 @@ def esop_to_circuit(cubes: EsopCubeList, method: str = "esop") -> Circuit:
     """
     n, m = cubes.n, cubes.m
     gates = []
-    for care, value, outs in cubes.rows:
+    for care, value, outs in cubes.cubes:
         pos, neg = _from_msb_first(care & value, n), _from_msb_first(care & ~value, n)
         for j in range(m):
             if outs >> (m - 1 - j) & 1:

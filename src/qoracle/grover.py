@@ -9,13 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit, Gate, h, mcz, x
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import BadOracleShape, InvalidRank
 from .pla import Cube, PlaTable
-from .sim import StateVector, apply_statevector, marginal_probabilities, zero_state
+from .sim import StateVector, apply_statevector, zero_state
 
 SUIT_CODES = {"clubs": 0b00, "spades": 0b01, "diamonds": 0b10, "hearts": 0b11}
 RANK_CODES = {
@@ -85,7 +83,6 @@ def predicted_success(n_items: int, marked: int, iterations: int) -> float:
 
 @dataclass
 class GroverPlan:
-    n: int
     marked_count: int
     iterations: int
     predicted: float
@@ -97,7 +94,6 @@ def plan_search(n: int, marked: int, iterations: int | None = None) -> GroverPla
         raise ValueError("iteration count cannot be negative")
     r = optimal_iterations(1 << n, marked) if iterations is None else iterations
     return GroverPlan(
-        n=n,
         marked_count=marked,
         iterations=r,
         predicted=predicted_success(1 << n, marked, r),
@@ -152,8 +148,3 @@ def build_grover(oracle: Circuit, iterations: int) -> Circuit:
 def search_state(circuit: Circuit) -> StateVector:
     """Run a search circuit on the all-zero input state."""
     return apply_statevector(circuit, zero_state(circuit.width))
-
-
-def search_distribution(circuit: Circuit) -> np.ndarray:
-    """Measurement distribution of the search register (ancilla traced out)."""
-    return marginal_probabilities(search_state(circuit), circuit.width - 1)

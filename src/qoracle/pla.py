@@ -13,6 +13,7 @@ from .errors import (
     DuplicateDomain,
     IllegalChar,
     MissingHeader,
+    NegativeValue,
     TooWide,
     UnknownDirective,
     WidthMismatch,
@@ -91,9 +92,6 @@ class SpecTable:
 
     def has_dontcares(self) -> bool:
         return any(dc for _, dc in self.entries.values())
-
-
-IntegerPairs = Sequence[tuple[int, int]]
 
 
 def parse_pla(text: str) -> PlaTable:
@@ -193,15 +191,15 @@ def _cube_minterms(inputs: str) -> Iterable[int]:
         yield x
 
 
-def expand(table: PlaTable, *, partial: bool = False, limit: int = EXPANSION_LIMIT) -> SpecTable:
+def expand(table: PlaTable, *, partial: bool = False) -> SpecTable:
     """Expand cube form into an explicit minterm table.
 
     Output marks combine across cubes by OR of their ON sets; a One mark wins
     over a DontCare on the same bit.  Minterms covered by no cube default to
     all-zero outputs unless ``partial`` leaves them unspecified.
     """
-    if table.n > limit:
-        raise TooWide(f".i {table.n} exceeds the expansion limit of {limit}")
+    if table.n > EXPANSION_LIMIT:
+        raise TooWide(f".i {table.n} exceeds the expansion limit of {EXPANSION_LIMIT}")
     on: dict[int, int] = {}
     dc: dict[int, int] = {}
     for cube in table.cubes:
@@ -237,8 +235,8 @@ def table_from_spec(spec: SpecTable) -> PlaTable:
     return PlaTable(n=n, m=m, cubes=cubes)
 
 
-def encode_integer_pairs(pairs: IntegerPairs) -> PlaTable:
-    """Encode (domain, range) integer rows as a fully specified table.
+def encode_integer_pairs(pairs: Sequence[tuple[int, int]]) -> PlaTable:
+    """Encode non-negative (domain, range) integer rows as a fully specified table.
 
     Widths are the bit lengths of the largest domain and range values, i.e.
     ceil(log2(max + 1)) with a minimum of one bit, so exact powers of two
@@ -247,7 +245,9 @@ def encode_integer_pairs(pairs: IntegerPairs) -> PlaTable:
     if not pairs:
         raise WidthMismatch("at least one (domain, range) pair is required")
     seen = set()
-    for d, _ in pairs:
+    for d, r in pairs:
+        if min(d, r) < 0:
+            raise NegativeValue(f"negative value in the pair {d},{r}")
         if d in seen:
             raise DuplicateDomain(f"domain value {d} listed twice")
         seen.add(d)

@@ -10,30 +10,14 @@ import numpy as np
 from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit,
                       _from_msb_first, _qubits)
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
-from .errors import NonClassicalGate, NotBijective, RoleMismatch, TooWide
+from .errors import NonClassicalGate, RoleMismatch, TooWide
 from .pla import SpecTable
 
 #: Hard cap for explicit 2^N enumeration (permutations and statevectors).
 SIM_LIMIT = 20
 
-#: Widest circuit whose basis states fit one int64 word of the batch simulator.
-WORD_LIMIT = 63
-
 MODE_MINIMAL = "minimal"
 MODE_PRESERVE = "preserve"
-
-
-@dataclass
-class Permutation:
-    """A bijection on 2^width bit patterns, stored as an explicit array."""
-
-    width: int
-    map: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.map = np.asarray(self.map, dtype=np.int64)
-        if not np.array_equal(np.sort(self.map), np.arange(1 << self.width)):
-            raise NotBijective("map is not a permutation")
 
 
 @dataclass
@@ -90,29 +74,18 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
         planes[target] ^= fire
 
 
-def apply_classical(circuit: Circuit, pattern: int) -> int:
-    """Run one basis state through an X/MCX cascade."""
-    planes = _transpose([pattern], circuit.width)
-    _run_planes(circuit, planes, 1)
-    return _transpose(planes, 1)[0]
+def apply_classical(circuit: Circuit, patterns: list[int]) -> list[int]:
+    """Run basis states through an X/MCX cascade, all at once as bit-planes."""
+    planes = _transpose(patterns, circuit.width)
+    _run_planes(circuit, planes, (1 << len(patterns)) - 1)
+    return _transpose(planes, len(patterns))
 
 
-def apply_classical_batch(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
-    """Vectorized apply_classical over an int64 array of basis states."""
-    if circuit.width > WORD_LIMIT:
-        raise TooWide(f"width {circuit.width} exceeds the {WORD_LIMIT}-qubit word simulator")
-    values = np.asarray(patterns, dtype=np.int64).tolist()
-    planes = _transpose(values, circuit.width)
-    _run_planes(circuit, planes, (1 << len(values)) - 1)
-    return np.array(_transpose(planes, len(values)), dtype=np.int64)
-
-
-def induced_permutation(circuit: Circuit) -> Permutation:
-    """Evaluate the cascade on every basis state; asserts bijectivity."""
+def induced_permutation(circuit: Circuit) -> list[int]:
+    """The image of every basis state, in ascending basis-state order."""
     if circuit.width > SIM_LIMIT:
         raise TooWide(f"width {circuit.width} exceeds the simulation limit {SIM_LIMIT}")
-    table = apply_classical_batch(circuit, np.arange(1 << circuit.width))
-    return Permutation(circuit.width, table)
+    return apply_classical(circuit, list(range(1 << circuit.width)))
 
 
 def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[int]]:
@@ -223,15 +196,6 @@ def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
         else:
             raise NonClassicalGate(f"statevector backend cannot apply {gate.kind}")
     return StateVector(width, amps)
-
-
-def measure_distribution(state: StateVector) -> dict[str, float]:
-    """Probabilities of each basis pattern (MSB-first), zeros omitted."""
-    probs = np.abs(state.amplitudes) ** 2
-    out = {}
-    for i in np.flatnonzero(probs > 1e-12):
-        out[format(int(i), f"0{state.width}b")] = float(probs[i])
-    return out
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import pla
+from qoracle import esop, pla
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -36,6 +36,28 @@ def control_masks(controls) -> tuple[int, int]:
     """The (pos, neg) masks of (qubit, polarity) pairs; bit q is qubit q."""
     return (sum(1 << q for q, pol in controls if pol == "+"),
             sum(1 << q for q, pol in controls if pol == "-"))
+
+
+def gate_controls(gate: circ.Gate) -> tuple[tuple[int, str], ...]:
+    """A gate's (qubit, polarity) pairs in ascending qubit order."""
+    mask = gate.pos | gate.neg
+    return tuple((q, "+" if gate.pos >> q & 1 else "-")
+                 for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+def from_cubes(n: int, m: int, cubes: list[pla.Cube]) -> esop.EsopCubeList:
+    """An ESOP cube list of 0/1/- Cubes; '-' output marks read as 0."""
+    return esop.EsopCubeList(n, m, [(*esop._masks(c.inputs), esop._masks(c.outputs)[1])
+                                    for c in cubes])
+
+
+def as_cubes(cubes: esop.EsopCubeList) -> list[pla.Cube]:
+    """The rows of an ESOP cube list rendered as 0/1/- Cubes."""
+    def literals(care: int, value: int) -> str:
+        return "".join("1" if value >> k & 1 else "0" if care >> k & 1 else "-"
+                       for k in range(cubes.n - 1, -1, -1))
+    return [pla.Cube(literals(care, value), format(outs, f"0{cubes.m}b"))
+            for care, value, outs in cubes.cubes]
 
 
 @st.composite

@@ -137,7 +137,7 @@ def test_criterion_05_tbs_soundness_sweep():
         spec = embed.ReversibleSpec(3, np.array(perm, dtype=np.int64))
         for direction in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
             circuit = tbs.tbs_synthesize(spec, direction=direction)
-            assert tuple(sim.induced_permutation(circuit).map.tolist()) == perm
+            assert tuple(sim.induced_permutation(circuit)) == perm
             checked += 1
     elapsed = time.monotonic() - start
     ok = checked == 2 * 40320 and elapsed < 60
@@ -175,10 +175,9 @@ def test_criterion_06_esop_round_trip_property():
         # XOR shift: with the ancilla register at all-ones the output qubits
         # read the complement of every resolved function bit.
         ones = (1 << m) - 1
-        words = np.array([(x << m) | ones for x in range(1 << n)])
-        outs = sim.apply_classical_batch(lowered, words)
+        outs = sim.apply_classical(lowered, [(x << m) | ones for x in range(1 << n)])
         for x in range(1 << n):
-            got = int(outs[x])
+            got = outs[x]
             value, dc = spec.entries[x]
             if got >> m != x or (got & ones) & ~dc != (value ^ ones) & ~dc:
                 failures += 1
@@ -194,8 +193,9 @@ def _card_oracle(query: str) -> circ.Circuit:
 
 def test_criterion_07_grover_diamonds():
     search = grover.build_grover(_card_oracle("suit=diamonds,rank=10"), 6)
-    prob = float(grover.search_distribution(search)[0b101010])
-    counts = sim.sample(grover.search_state(search), 1024, seed=7)
+    state = grover.search_state(search)
+    prob = float(sim.marginal_probabilities(state, 6)[0b101010])
+    counts = sim.sample(state, 1024, seed=7)
     correct = sum(c for bits, c in counts.items() if bits.startswith("101010"))
     ok = abs(prob - 0.9966) < 1e-3 and correct >= 980
     report_line(7, "diamonds search: probability and 1024-shot sampling", ok,
@@ -205,7 +205,7 @@ def test_criterion_07_grover_diamonds():
 def test_criterion_08_grover_clubs():
     plan = grover.plan_search(6, 16)
     search = grover.build_grover(_card_oracle("suit=clubs"), plan.iterations)
-    dist = grover.search_distribution(search)
+    dist = sim.marginal_probabilities(grover.search_state(search), 6)
     marked = [x for x in range(64) if x >> 4 == 0]
     total = float(sum(dist[x] for x in marked))
     worst = max(abs(float(dist[x]) - 1 / 16) for x in marked)

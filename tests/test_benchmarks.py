@@ -37,16 +37,8 @@ def test_manifest_declares_true_interfaces(bench_tables):
 def _evaluate_cubes(cubes: esop.EsopCubeList, xs: np.ndarray) -> np.ndarray:
     """Vectorized XOR-semantics evaluation of a cube list over inputs."""
     out = np.zeros(len(xs), dtype=np.int64)
-    for cube in cubes.cubes:
-        care = value = 0
-        for col, ch in enumerate(cube.inputs):
-            bit = 1 << (cubes.n - 1 - col)
-            if ch != "-":
-                care |= bit
-                if ch == "1":
-                    value |= bit
-        hit = (xs & care) == value
-        out[hit] ^= int(cube.outputs, 2)
+    for care, value, outs in cubes.cubes:
+        out[(xs & care) == value] ^= outs
     return out
 
 

@@ -9,7 +9,7 @@ from qoracle import circuit as circ
 from qoracle import sim
 from qoracle.errors import NotLowered
 
-from conftest import classical_circuits, control_masks
+from conftest import classical_circuits, control_masks, gate_controls
 
 
 def test_gate_validation():
@@ -32,7 +32,7 @@ def test_lower_basic_sandwich():
     lowered = circ.lower_polarity(c)
     kinds = [(g.kind, g.target) for g in lowered.gates]
     assert kinds == [("x", 1), ("mcx", 2), ("x", 1)]
-    assert lowered.gates[1].controls == ((0, "+"), (1, "+"))
+    assert lowered.gates[1] == circ.mcx(2, 1 << 0 | 1 << 1)
 
 
 def test_lower_all_positive_unchanged():
@@ -48,8 +48,7 @@ def test_lower_elides_shared_sandwich():
     )
     lowered = circ.lower_polarity(c)
     assert sum(1 for g in lowered.gates if g.kind == "x") == 2
-    assert sim.induced_permutation(lowered).map.tolist() == \
-        sim.induced_permutation(c).map.tolist()
+    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
 
 
 def test_lower_flushes_before_positive_use():
@@ -57,16 +56,14 @@ def test_lower_flushes_before_positive_use():
         2, [circ.mcx(0, 0, 1 << 1), circ.mcx(0, 1 << 1)]
     )
     lowered = circ.lower_polarity(c)
-    assert sim.induced_permutation(lowered).map.tolist() == \
-        sim.induced_permutation(c).map.tolist()
-    assert all(pol == "+" for g in lowered.gates for _, pol in g.controls)
+    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
+    assert all(g.neg == 0 for g in lowered.gates)
 
 
 def test_lower_cancels_explicit_x():
     c = circ.Circuit(2, [circ.mcx(0, 0, 1 << 1), circ.x(1)])
     lowered = circ.lower_polarity(c)
-    assert sim.induced_permutation(lowered).map.tolist() == \
-        sim.induced_permutation(c).map.tolist()
+    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
     assert sum(1 for g in lowered.gates if g.kind == "x") == 1
 
 
@@ -74,9 +71,8 @@ def test_lower_cancels_explicit_x():
 @given(classical_circuits())
 def test_lower_preserves_permutation(c):
     lowered = circ.lower_polarity(c)
-    assert all(pol == "+" for g in lowered.gates for _, pol in g.controls)
-    assert sim.induced_permutation(lowered).map.tolist() == \
-        sim.induced_permutation(c).map.tolist()
+    assert all(g.neg == 0 for g in lowered.gates)
+    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
 
 
 def reference_lower(gates):
@@ -96,7 +92,7 @@ def reference_lower(gates):
                 flipped.remove(q)
 
     for gate in gates:
-        kind, target, controls = gate.kind, gate.target, gate.controls
+        kind, target, controls = gate.kind, gate.target, gate_controls(gate)
         if kind == "x":
             if target in flipped:
                 flipped.remove(target)
@@ -144,7 +140,7 @@ def mixed_circuits(draw):
 @given(mixed_circuits())
 def test_lower_matches_reference_gate_for_gate(c):
     lowered = circ.lower_polarity(c)
-    assert [(g.kind, g.target, g.controls) for g in lowered.gates] == \
+    assert [(g.kind, g.target, gate_controls(g)) for g in lowered.gates] == \
         reference_lower(c.gates)
 
 
@@ -168,7 +164,7 @@ def test_lower_flushes_before_phase_gates():
         ],
     )
     lowered = circ.lower_polarity(c)
-    assert all(pol == "+" for g in lowered.gates for _, pol in g.controls)
+    assert all(g.neg == 0 for g in lowered.gates)
     a = sim.apply_statevector(c, sim.zero_state(3)).amplitudes
     b = sim.apply_statevector(lowered, sim.zero_state(3)).amplitudes
     assert np.allclose(a, b)

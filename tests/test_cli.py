@@ -111,6 +111,35 @@ def test_synth_fractional_timeout(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _assert_usage_error(code, capsys, flag):
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be"), err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["esop", "tbs"])
+def test_synth_rejects_non_positive_timeout(tmp_path, capsys, value, method):
+    code = main([
+        "synth", "--in", SQUAR5, "--method", method, "--no-minimize",
+        f"--timeout-s={value}", "--out", str(tmp_path / "c.qasm"),
+    ])
+    _assert_usage_error(code, capsys, "--timeout-s")
+    assert not (tmp_path / "c.qasm").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_bench_rejects_non_positive_timeout(tmp_path, capsys, value):
+    code = main([
+        "bench", "--dir", str(BENCH_DIR), "--csv", str(tmp_path / "r.csv"),
+        f"--timeout-s={value}",
+    ])
+    _assert_usage_error(code, capsys, "--timeout-s")
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["tbs", "esop-rtt"])
 def test_synth_naive_completion(tmp_path, capsys, method):
     assert main([
@@ -222,7 +251,7 @@ def test_bench_timeout_yields_rows_not_crashes(tmp_path):
     (single / "squar5.pla").write_text((BENCH_DIR / "squar5.pla").read_text())
     assert main([
         "bench", "--dir", str(single), "--methods", "esop,esop-rtt,tbs",
-        "--csv", str(csv_path), "--timeout-s", "0",
+        "--csv", str(csv_path), "--timeout-s", "0.000001",
     ]) == 0
     rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
     assert len(rows) == 3
@@ -418,6 +447,16 @@ def test_grover_from_pla_file(tmp_path):
     assert top[0] == "11"
 
 
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_grover_rejects_shots_below_one(tmp_path, capsys, shots):
+    predicate = tmp_path / "pred.pla"
+    predicate.write_text(".i 2\n.o 1\n11 1\n.e\n")
+    out = tmp_path / "h.csv"
+    code = main(["grover", "--pla", str(predicate), f"--shots={shots}", "--out", str(out)])
+    _assert_usage_error(code, capsys, "--shots")
+    assert not out.exists()
+
+
 def test_grover_needs_exactly_one_source(tmp_path):
     assert main([
         "grover", "--out", str(tmp_path / "h.csv"),
@@ -489,3 +528,16 @@ def test_encode_roundtrip(tmp_path):
     table = pla.parse_pla(out.read_text())
     assert (table.n, table.m) == (6, 4)
     assert table.cubes[-1] == pla.Cube("110100", "1000")
+
+
+@pytest.mark.parametrize("rows", ["-1,0\n2,1\n", "1,-1\n2,1\n"], ids=["domain", "range"])
+def test_encode_rejects_negative_values(tmp_path, capsys, rows):
+    src = tmp_path / "pairs.csv"
+    src.write_text(rows)
+    out = tmp_path / "table.pla"
+    assert main(["encode", "--csv", str(src), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: negative value"), err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()

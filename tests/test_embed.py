@@ -1,6 +1,8 @@
 """Embedding: multiplicity, don't-care resolution, RTT and onto-completion."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,20 +137,25 @@ def test_hamming_identity_when_sets_match():
     assert total.perm.tolist() == [0, 1, 2, 3]
 
 
-def test_completion_stats():
+def test_is_bijection_needs_every_row_once():
+    assert not _partial(2, {0: 1, 1: 0}).is_bijection()  # rows 2 and 3 unspecified
+    assert not embed.ReversibleSpec(1, [0, 0]).is_bijection()
+    assert embed.ReversibleSpec(2, [3, 2, 1, 0]).is_bijection()
+
+
+def test_finish_report_counts_completed_rows():
     partial = _partial(2, {1: 1})
     total = embed.complete_onto_hamming(partial)
-    completed, identical = embed.completion_stats(partial, total)
-    assert (completed, identical) == (3, 3)
+    report = embed.EmbeddingReport(d=1, v=0, w=0, n_total=2, specified_rows=1)
+    assert embed.finish_report(report, partial, total) is report
+    assert (report.completed_rows, report.identical_pairings) == (3, 3)
 
 
-def test_report_json_keys():
-    import json
-
+def test_report_fields():
     spec = spec_of(2, 1, {0b00: 0, 0b01: 0, 0b10: 1, 0b11: 0})
     partial, report = embed.rtt_embed(spec)
     embed.finish_report(report, partial, embed.complete_onto_hamming(partial))
-    doc = json.loads(report.to_json())
+    doc = dataclasses.asdict(report)
     assert list(doc) == [
         "d", "v", "w", "n_total", "specified_rows", "completed_rows",
         "identical_pairings",

@@ -60,13 +60,13 @@ def test_predicted_success_values():
 
 def test_build_grover_diamonds_success_probability():
     search = grover.build_grover(oracle_for("suit=diamonds,rank=10"), 6)
-    dist = grover.search_distribution(search)
+    dist = sim.marginal_probabilities(grover.search_state(search), 6)
     assert abs(dist[0b101010] - 0.9966) < 1e-3
 
 
 def test_build_grover_clubs_distribution():
     search = grover.build_grover(oracle_for("suit=clubs"), 1)
-    dist = grover.search_distribution(search)
+    dist = sim.marginal_probabilities(grover.search_state(search), 6)
     marked = [x for x in range(64) if x >> 4 == 0]
     assert sum(dist[x] for x in marked) >= 0.999
     for x in marked:
@@ -75,7 +75,7 @@ def test_build_grover_clubs_distribution():
 
 def test_build_grover_zero_iterations_is_uniform():
     search = grover.build_grover(oracle_for("suit=diamonds,rank=10"), 0)
-    dist = grover.search_distribution(search)
+    dist = sim.marginal_probabilities(grover.search_state(search), 6)
     assert np.allclose(dist, 1 / 64, atol=1e-9)
 
 
@@ -109,7 +109,7 @@ def test_predicted_matches_measured_over_grid():
             oracle = run_synthesis(table, "esop").circuit
             for r in range(0, 9, 2):
                 search = grover.build_grover(oracle, r)
-                dist = grover.search_distribution(search)
+                dist = sim.marginal_probabilities(grover.search_state(search), n)
                 measured = float(sum(dist[:marked]))
                 predicted = grover.predicted_success(1 << n, marked, r)
                 assert abs(measured - predicted) < 1e-6, (n, marked, r)

@@ -10,6 +10,7 @@ from qoracle.errors import (
     DuplicateDomain,
     IllegalChar,
     MissingHeader,
+    NegativeValue,
     TooWide,
     UnknownDirective,
     WidthMismatch,
@@ -179,6 +180,16 @@ def test_encode_power_of_two_range():
 def test_encode_duplicate_domain():
     with pytest.raises(DuplicateDomain):
         pla.encode_integer_pairs([(3, 1), (3, 2)])
+
+
+@pytest.mark.parametrize("pairs,named", [
+    ([(-1, 0), (2, 1)], "-1,0"),  # would print as the don't-care cube '-1'
+    ([(1, -1), (2, 1)], "1,-1"),
+    ([(0, 0), (-5, -7)], "-5,-7"),
+], ids=["domain", "range", "both"])
+def test_encode_rejects_negative_values(pairs, named):
+    with pytest.raises(NegativeValue, match=named):
+        pla.encode_integer_pairs(pairs)
 
 
 @settings(max_examples=60)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,38 +13,40 @@ from qoracle import circuit as circ
 from qoracle import esop, pla, sim
 from qoracle.errors import NonClassicalGate, RoleMismatch, TooWide
 
-from conftest import classical_circuits
+from conftest import classical_circuits, control_masks, from_cubes, gate_controls
 
 
 def ten_of_diamonds_oracle():
-    cubes = esop.EsopCubeList(6, 1, [pla.Cube("101010", "1")])
+    cubes = from_cubes(6, 1, [pla.Cube("101010", "1")])
     return esop.esop_to_circuit(cubes)
 
 
 def test_apply_classical_basics():
     c = circ.Circuit(3, [circ.x(0)])
-    assert sim.apply_classical(c, 0b000) == 0b100
+    assert sim.apply_classical(c, [0b000]) == [0b100]
     ccx = circ.Circuit(3, [circ.mcx(2, 1 << 0 | 1 << 1)])
-    assert sim.apply_classical(ccx, 0b110) == 0b111
-    assert sim.apply_classical(ccx, 0b100) == 0b100
+    assert sim.apply_classical(ccx, [0b110]) == [0b111]
+    assert sim.apply_classical(ccx, [0b100]) == [0b100]
+    assert sim.apply_classical(ccx, [0b110, 0b100, 0b111]) == [0b111, 0b100, 0b110]
+    assert sim.apply_classical(ccx, []) == []
 
 
 def test_apply_classical_card_oracle():
     oracle = ten_of_diamonds_oracle()
-    assert sim.apply_classical(oracle, 0b1010100) == 0b1010101
-    assert sim.apply_classical(oracle, 0b0000000) == 0b0000000
+    assert sim.apply_classical(oracle, [0b1010100]) == [0b1010101]
+    assert sim.apply_classical(oracle, [0b0000000]) == [0b0000000]
 
 
 def test_apply_classical_rejects_nonclassical():
     c = circ.Circuit(1, [circ.h(0)])
     with pytest.raises(NonClassicalGate):
-        sim.apply_classical(c, 0)
+        sim.apply_classical(c, [0])
 
 
 def test_induced_permutation_examples():
-    assert sim.induced_permutation(circ.Circuit(2)).map.tolist() == [0, 1, 2, 3]
+    assert sim.induced_permutation(circ.Circuit(2)) == [0, 1, 2, 3]
     cnot = circ.Circuit(2, [circ.mcx(1, 1 << 0)])
-    assert sim.induced_permutation(cnot).map.tolist() == [0, 1, 3, 2]
+    assert sim.induced_permutation(cnot) == [0, 1, 3, 2]
     with pytest.raises(TooWide):
         sim.induced_permutation(circ.Circuit(21))
 
@@ -51,8 +54,8 @@ def test_induced_permutation_examples():
 @settings(max_examples=100, deadline=None)
 @given(classical_circuits())
 def test_cascades_induce_bijections(c):
-    table = sim.induced_permutation(c).map
-    assert sorted(table.tolist()) == list(range(1 << c.width))
+    table = sim.induced_permutation(c)
+    assert sorted(table) == list(range(1 << c.width))
 
 
 def make_spec(n, m, mapping):
@@ -121,7 +124,7 @@ def reference_apply(circuit, pattern):
     """Evaluate an X/MCX cascade one gate at a time on one basis state."""
     w = circuit.width
     for gate in circuit.gates:
-        if all((pattern >> (w - 1 - q) & 1) == (pol == "+") for q, pol in gate.controls):
+        if all((pattern >> (w - 1 - q) & 1) == (pol == "+") for q, pol in gate_controls(gate)):
             pattern ^= 1 << (w - 1 - gate.target)
     return pattern
 
@@ -131,11 +134,7 @@ def reference_apply(circuit, pattern):
 def test_bitplane_simulator_matches_reference_at_any_width(c, data):
     w = c.width
     patterns = data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=8))
-    for p in patterns:
-        assert sim.apply_classical(c, p) == reference_apply(c, p)
-    if w <= sim.WORD_LIMIT:
-        batch = sim.apply_classical_batch(c, np.array(patterns, dtype=np.int64))
-        assert batch.tolist() == [reference_apply(c, p) for p in patterns]
+    assert sim.apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns]
 
     # Random roles: n input qubits (the rest ancillas at zero), m outputs.
     n = data.draw(st.integers(1, min(w, 6)))
@@ -175,6 +174,21 @@ def test_bitplane_simulator_matches_reference_at_any_width(c, data):
     ]
 
 
+def test_apply_classical_matches_reference_at_every_width():
+    rng = random.Random(11)
+    for w in range(1, 81):
+        gates = []
+        for _ in range(20):
+            target = rng.randrange(w)
+            others = [q for q in range(w) if q != target]
+            chosen = rng.sample(others, min(len(others), rng.randint(0, 4)))
+            gates.append(circ.mcx(target, *control_masks(
+                [(q, rng.choice("+-")) for q in chosen])))
+        c = circ.Circuit(w, gates)
+        patterns = [rng.getrandbits(w) for _ in range(16)]
+        assert sim.apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns], w
+
+
 def test_statevector_hadamard():
     state = sim.apply_statevector(circ.Circuit(1, [circ.h(0)]), sim.zero_state(1))
     assert np.allclose(state.amplitudes, [1 / math.sqrt(2)] * 2)
@@ -195,7 +209,7 @@ def test_statevector_mcz_phase():
 @settings(max_examples=60, deadline=None)
 @given(classical_circuits(max_width=5))
 def test_statevector_matches_classical_on_basis_states(c):
-    perm = sim.induced_permutation(c).map
+    perm = sim.induced_permutation(c)
     for x in range(min(1 << c.width, 8)):
         amps = np.zeros(1 << c.width, dtype=complex)
         amps[x] = 1.0
@@ -211,16 +225,18 @@ def test_statevector_norm_preserved(c):
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
 
 
-def test_measure_distribution_uniform_and_basis():
+def test_marginal_probabilities_uniform_and_basis():
     uniform = sim.apply_statevector(
         circ.Circuit(2, [circ.h(0), circ.h(1)]), sim.zero_state(2)
     )
-    dist = sim.measure_distribution(uniform)
-    assert set(dist) == {"00", "01", "10", "11"}
-    assert all(abs(p - 0.25) < 1e-12 for p in dist.values())
+    dist = sim.marginal_probabilities(uniform, 2)
+    assert len(dist) == 4
+    assert all(abs(p - 0.25) < 1e-12 for p in dist)
+    assert np.allclose(sim.marginal_probabilities(uniform, 1), [0.5, 0.5])
 
     basis = sim.zero_state(3)
-    assert sim.measure_distribution(basis) == {"000": 1.0}
+    assert sim.marginal_probabilities(basis, 3).tolist() == [1.0] + [0.0] * 7
+    assert sim.marginal_probabilities(basis, 1).tolist() == [1.0, 0.0]
 
 
 def test_sample_is_seed_deterministic():
