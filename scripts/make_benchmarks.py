@@ -197,15 +197,8 @@ def build_table(name: str) -> pla.PlaTable:
     for j in range(m):
         for cube in compact_column(on_sets[j], n):
             rows[cube] = rows.get(cube, 0) | (1 << (m - 1 - j))
-    cubes = []
-    literalize = lambda care, value: "".join(
-        "-" if not care >> (n - 1 - col) & 1
-        else "1" if value >> (n - 1 - col) & 1 else "0"
-        for col in range(n)
-    )
-    for (care, value), marks in sorted(rows.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        outs = "".join("1" if marks >> (m - 1 - j) & 1 else "0" for j in range(m))
-        cubes.append(pla.Cube(literalize(care, value), outs))
+    ordered = sorted(rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    cubes = [(care, value, marks, 0) for (care, value), marks in ordered]
     return pla.PlaTable(n=n, m=m, cubes=cubes)
 
 

@@ -254,11 +254,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_bench(args) -> int:
     _require_positive("--timeout-s", args.timeout_s)
+    _require_positive("--jobs", args.jobs)
     bench_dir = Path(args.dir)
     if not bench_dir.is_dir():
         print(f"no such benchmark directory: {bench_dir}", file=sys.stderr)
         return EXIT_USAGE
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError(f"--methods must be a non-empty method list, got {args.methods!r}")
     for m in methods:
         if m not in METHODS:
             print(f"unknown method {m!r}", file=sys.stderr)
@@ -335,12 +338,16 @@ def _cmd_grover(args) -> int:
 
 def _cmd_encode(args) -> int:
     pairs = []
-    for line in Path(args.csv).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
+    for number, raw in enumerate(Path(args.csv).read_text().splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        d, r = line.split(",")
-        pairs.append((int(d), int(r)))
+        try:
+            d, r = (int(field) for field in line.split(","))
+        except ValueError:
+            raise ValueError(
+                f"line {number}: expected '<domain>,<range>' integers, got {raw!r}") from None
+        pairs.append((d, r))
     table = pla.encode_integer_pairs(pairs)
     Path(args.out).write_text(pla.write_pla(table))
     print(f"encoded {len(pairs)} pairs as a {table.n}-input {table.m}-output table")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooWide, UnresolvedDontCare
-from .pla import EXPANSION_LIMIT, SpecTable
+from .pla import EXPANSION_LIMIT, SpecTable, _fill
 
 UNSPECIFIED = -1
 
@@ -72,19 +72,6 @@ def max_output_multiplicity(spec: SpecTable) -> int:
     return max(counts.values())
 
 
-def _completions(value: int, dc_mask: int) -> list[int]:
-    """All assignments of the free bits, ascending by resulting pattern."""
-    free = [bit for bit in (1 << i for i in range(dc_mask.bit_length())) if dc_mask & bit]
-    out = []
-    for k in range(1 << len(free)):
-        candidate = value
-        for i, bit in enumerate(free):
-            if k >> i & 1:
-                candidate |= bit
-        out.append(candidate)
-    return sorted(out)
-
-
 def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable:
     """Assign every don't-care output bit.
 
@@ -109,7 +96,7 @@ def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable
         if dc == 0:
             entries[x] = (value, 0)
             continue
-        chosen = min(_completions(value, dc), key=lambda c: (counts[c], c))
+        chosen = min(_fill(value, dc), key=lambda c: (counts[c], c))
         counts[chosen] += 1
         entries[x] = (chosen, 0)
     return SpecTable(n=spec.n, m=spec.m, entries=entries)

@@ -32,11 +32,6 @@ Row = tuple[int, int, int]
 MAX_PASSES = 10
 
 
-def _masks(literals: str) -> tuple[int, int]:
-    """(care, value) of a 0/1/- string; '-' reads as 0 in both."""
-    return int(literals.replace("0", "1").replace("-", "0"), 2), int(literals.replace("-", "0"), 2)
-
-
 @dataclass
 class EsopCubeList:
     """Cubes read with XOR semantics per output column, one (care, value, outmask) row each."""
@@ -98,9 +93,9 @@ def sop_to_esop(table: PlaTable) -> EsopCubeList:
     Output don't-care marks are treated as zeros: only '1' marks contribute.
     """
     full = (1 << table.n) - 1
-    masks = [_masks(c.inputs) for c in table.cubes]
     columns = [
-        _disjoint_column([mk for mk, c in zip(masks, table.cubes) if c.outputs[j] == "1"], full)
+        _disjoint_column([(care, value) for care, value, ones, _ in table.cubes
+                          if ones >> (table.m - 1 - j) & 1], full)
         for j in range(table.m)
     ]
     return _assemble(table.n, table.m, columns)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, h, mcz, x
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import BadOracleShape, InvalidRank
-from .pla import Cube, PlaTable
+from .pla import PlaTable
 from .sim import StateVector, apply_statevector, zero_state
 
 SUIT_CODES = {"clubs": 0b00, "spades": 0b01, "diamonds": 0b10, "hearts": 0b11}
@@ -63,9 +63,9 @@ def card_query_to_pla(query: CardQuery) -> PlaTable:
         raise ValueError("query needs a suit, a rank, or both")
     if query.rank is not None and query.rank not in _VALID_RANKS:
         raise InvalidRank(f"rank code {query.rank:04b} is unused")
-    suit = "--" if query.suit is None else format(query.suit, "02b")
-    rank = "----" if query.rank is None else format(query.rank, "04b")
-    return PlaTable(n=CARD_BITS, m=1, cubes=[Cube(suit + rank, "1")])
+    care = (0 if query.suit is None else 0b110000) | (0 if query.rank is None else 0b001111)
+    value = (query.suit or 0) << 4 | (query.rank or 0)
+    return PlaTable(n=CARD_BITS, m=1, cubes=[(care, value, 1, 0)])
 
 
 def optimal_iterations(n_items: int, marked: int) -> int:

@@ -7,7 +7,7 @@ column i.  A minterm printed as a bitstring therefore reads MSB-first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateDomain,
@@ -29,17 +29,37 @@ KIND_F = "f"
 KIND_FD = "fd"
 
 
-@dataclass(frozen=True)
-class Cube:
-    """One table row: ternary input literals and ternary output marks."""
+#: One table row ``(care, value, ones, dc)``: bit n-1-col of the input masks
+#: is input column col, bit m-1-j of the output masks is output column j.
+#: An input column is a literal when its care bit is set (value gives its
+#: polarity) and '-' otherwise; an output column is '1' in ``ones``, '-' in
+#: ``dc`` and '0' in neither.
+Row = tuple[int, int, int, int]
 
-    inputs: str
-    outputs: str
 
-    def __post_init__(self) -> None:
-        for ch in self.inputs + self.outputs:
-            if ch not in _LITERALS:
-                raise IllegalChar(f"illegal literal {ch!r} in cube")
+def _masks(literals: str) -> tuple[int, int]:
+    """(care, value) of a 0/1/- string, column 0 the top bit; '-' is 0 in both."""
+    if not _LITERALS.issuperset(literals):
+        bad = next(ch for ch in literals if ch not in _LITERALS)
+        raise IllegalChar(f"illegal literal {bad!r} in cube")
+    care = int(literals.replace("0", "1").replace("-", "0"), 2)
+    return care, int(literals.replace("-", "0"), 2)
+
+
+def _literals(care: int, value: int, width: int) -> str:
+    """The 0/1/- string of the low ``width`` bits of (care, value), the inverse of ``_masks``."""
+    return "".join("1" if value >> k & 1 else "0" if care >> k & 1 else "-"
+                   for k in range(width - 1, -1, -1))
+
+
+def _fill(base: int, free: int) -> Iterator[int]:
+    """``base | sub`` for every subset ``sub`` of ``free``, ascending."""
+    sub = 0
+    while True:
+        yield base | sub
+        sub = (sub - free) & free
+        if not sub:
+            return
 
 
 @dataclass
@@ -48,7 +68,7 @@ class PlaTable:
 
     n: int
     m: int
-    cubes: list[Cube] = field(default_factory=list)
+    cubes: list[Row] = field(default_factory=list)
     kind: str = KIND_FD
     input_labels: list[str] | None = None
     output_labels: list[str] | None = None
@@ -58,16 +78,15 @@ class PlaTable:
             raise WidthMismatch("tables need at least one input and one output")
         if self.kind not in (KIND_F, KIND_FD):
             raise UnknownDirective(f"unsupported table type {self.kind!r}")
-        for cube in self.cubes:
-            self._check_cube(cube)
-
-    def _check_cube(self, cube: Cube) -> None:
-        if len(cube.inputs) != self.n or len(cube.outputs) != self.m:
-            raise WidthMismatch(
-                f"cube {cube.inputs} {cube.outputs} does not match .i {self.n} .o {self.m}"
-            )
-        if self.kind == KIND_F and "-" in cube.outputs:
-            raise IllegalChar("type f tables forbid '-' output marks")
+        n, m = self.n, self.m
+        for row in self.cubes:
+            care, value, ones, dc = row
+            if min(row) < 0 or (care | value) >> n or (ones | dc) >> m:
+                raise WidthMismatch(f"cube {row} does not match .i {n} .o {m}")
+            if value & ~care or ones & dc:
+                raise IllegalChar(f"cube {row} has value outside care or ones inside dc")
+            if dc and self.kind == KIND_F:
+                raise IllegalChar("type f tables forbid '-' output marks")
 
 
 # Output patterns of a SpecTable entry are stored as (value, dc_mask) integer
@@ -84,11 +103,7 @@ class SpecTable:
     def output_bits(self, minterm: int) -> str:
         """Render the output pattern of one minterm as 0/1/- (MSB first)."""
         value, dc = self.entries[minterm]
-        bits = []
-        for col in range(self.m):
-            bit = 1 << (self.m - 1 - col)
-            bits.append("-" if dc & bit else "1" if value & bit else "0")
-        return "".join(bits)
+        return _literals(~dc, value, self.m)
 
     def has_dontcares(self) -> bool:
         return any(dc for _, dc in self.entries.values())
@@ -100,7 +115,7 @@ def parse_pla(text: str) -> PlaTable:
     declared_count = None
     kind = KIND_FD
     ilb = ob = None
-    cubes: list[Cube] = []
+    cubes: list[Row] = []
     ended = False
 
     for raw in text.splitlines():
@@ -143,7 +158,8 @@ def parse_pla(text: str) -> PlaTable:
             raise WidthMismatch(
                 f"cube {line!r} has widths {len(ins)}/{len(outs)}, declared {n}/{m}"
             )
-        cubes.append(Cube(ins, outs))
+        (care, value), (out_care, ones) = _masks(ins), _masks(outs)
+        cubes.append((care, value, ones, ~out_care & ((1 << m) - 1)))
 
     if n is None or m is None:
         raise MissingHeader("missing .i/.o declarations")
@@ -166,29 +182,10 @@ def write_pla(table: PlaTable) -> str:
     if table.kind != KIND_FD:
         lines.append(f".type {table.kind}")
     lines.append(f".p {len(table.cubes)}")
-    for cube in table.cubes:
-        lines.append(f"{cube.inputs} {cube.outputs}")
+    for care, value, ones, dc in table.cubes:
+        lines.append(f"{_literals(care, value, table.n)} {_literals(~dc, ones, table.m)}")
     lines.append(".e")
     return "\n".join(lines) + "\n"
-
-
-def _cube_minterms(inputs: str) -> Iterable[int]:
-    """All minterms covered by a ternary input string (MSB-first)."""
-    n = len(inputs)
-    base = 0
-    dashes = []
-    for col, ch in enumerate(inputs):
-        bit = 1 << (n - 1 - col)
-        if ch == "1":
-            base |= bit
-        elif ch == "-":
-            dashes.append(bit)
-    for k in range(1 << len(dashes)):
-        x = base
-        for i, bit in enumerate(dashes):
-            if k >> i & 1:
-                x |= bit
-        yield x
 
 
 def expand(table: PlaTable, *, partial: bool = False) -> SpecTable:
@@ -200,19 +197,12 @@ def expand(table: PlaTable, *, partial: bool = False) -> SpecTable:
     """
     if table.n > EXPANSION_LIMIT:
         raise TooWide(f".i {table.n} exceeds the expansion limit of {EXPANSION_LIMIT}")
+    full = (1 << table.n) - 1
     on: dict[int, int] = {}
     dc: dict[int, int] = {}
-    for cube in table.cubes:
-        one_mask = 0
-        dc_mask = 0
-        for col, ch in enumerate(cube.outputs):
-            bit = 1 << (table.m - 1 - col)
-            if ch == "1":
-                one_mask |= bit
-            elif ch == "-":
-                dc_mask |= bit
-        for x in _cube_minterms(cube.inputs):
-            on[x] = on.get(x, 0) | one_mask
+    for care, value, ones, dc_mask in table.cubes:
+        for x in _fill(value, full & ~care):
+            on[x] = on.get(x, 0) | ones
             dc[x] = dc.get(x, 0) | dc_mask
     entries: dict[int, tuple[int, int]] = {}
     if partial:
@@ -227,12 +217,9 @@ def expand(table: PlaTable, *, partial: bool = False) -> SpecTable:
 
 def table_from_spec(spec: SpecTable) -> PlaTable:
     """Re-express a minterm table in cube form, one cube per entry."""
-    n, m = spec.n, spec.m
-    cubes = []
-    for x in sorted(spec.entries):
-        ins = format(x, f"0{n}b")
-        cubes.append(Cube(ins, spec.output_bits(x)))
-    return PlaTable(n=n, m=m, cubes=cubes)
+    full = (1 << spec.n) - 1
+    cubes = [(full, x, *spec.entries[x]) for x in sorted(spec.entries)]
+    return PlaTable(n=spec.n, m=spec.m, cubes=cubes)
 
 
 def encode_integer_pairs(pairs: Sequence[tuple[int, int]]) -> PlaTable:
@@ -253,5 +240,5 @@ def encode_integer_pairs(pairs: Sequence[tuple[int, int]]) -> PlaTable:
         seen.add(d)
     n = max(1, max(d for d, _ in pairs).bit_length())
     m = max(1, max(r for _, r in pairs).bit_length())
-    cubes = [Cube(format(d, f"0{n}b"), format(r, f"0{m}b")) for d, r in pairs]
+    cubes = [((1 << n) - 1, d, r, 0) for d, r in pairs]
     return PlaTable(n=n, m=m, cubes=cubes)

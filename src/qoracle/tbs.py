@@ -18,6 +18,9 @@ from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
 
+#: Most gates one synthesis may emit before it gives up.
+GATE_LIMIT = 50_000
+
 
 def _bits_desc(mask: int) -> list[int]:
     """The set bits of ``mask``, most significant first."""
@@ -77,7 +80,7 @@ def _to_gate(cmask: int, tbit: int, width: int):
 
 
 def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
-                   gate_limit: int = 50_000, deadline: float | None = None,
+                   deadline: float | None = None,
                    validate: bool = False) -> Circuit:
     """Synthesize an MCT cascade realizing the given permutation table.
 
@@ -87,8 +90,6 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
     """
     if direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
-    if gate_limit <= 0:
-        raise ValueError("gate_limit must be positive")
     if not spec.is_bijection():
         raise NotBijective("TBS needs a total bijection; complete the table first")
     width = spec.width
@@ -117,8 +118,8 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
         else:
             take_input = False
         plan = in_plan if take_input else out_plan
-        if len(out_gates) + len(in_gates) + len(plan) > gate_limit:
-            raise GateLimitExceeded(f"over {gate_limit} gates at row {row} of {size}")
+        if len(out_gates) + len(in_gates) + len(plan) > GATE_LIMIT:
+            raise GateLimitExceeded(f"over {GATE_LIMIT} gates at row {row} of {size}")
         for cmask, tbit in plan:
             if take_input:
                 _swap(perm, inv, index, cmask, tbit)

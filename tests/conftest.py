@@ -16,6 +16,12 @@ def cube_strings(width: int, alphabet: str = "01-"):
     return st.text(alphabet=alphabet, min_size=width, max_size=width)
 
 
+def cube(inputs: str, outputs: str) -> pla.Row:
+    """The (care, value, ones, dc) table row of 0/1/- input and output strings."""
+    (care, value), (out_care, ones) = pla._masks(inputs), pla._masks(outputs)
+    return care, value, ones, ~out_care & ((1 << len(outputs)) - 1)
+
+
 @st.composite
 def pla_tables(draw, max_n: int = 5, max_m: int = 3, kind: str | None = None,
                max_cubes: int = 8):
@@ -25,7 +31,7 @@ def pla_tables(draw, max_n: int = 5, max_m: int = 3, kind: str | None = None,
     out_alphabet = "01" if table_kind == pla.KIND_F else "01-"
     cubes = draw(
         st.lists(
-            st.builds(pla.Cube, cube_strings(n), cube_strings(m, out_alphabet)),
+            st.builds(cube, cube_strings(n), cube_strings(m, out_alphabet)),
             max_size=max_cubes,
         )
     )
@@ -45,18 +51,14 @@ def gate_controls(gate: circ.Gate) -> tuple[tuple[int, str], ...]:
                  for q in range(mask.bit_length()) if mask >> q & 1)
 
 
-def from_cubes(n: int, m: int, cubes: list[pla.Cube]) -> esop.EsopCubeList:
-    """An ESOP cube list of 0/1/- Cubes; '-' output marks read as 0."""
-    return esop.EsopCubeList(n, m, [(*esop._masks(c.inputs), esop._masks(c.outputs)[1])
-                                    for c in cubes])
+def from_cubes(n: int, m: int, cubes: list[tuple[str, str]]) -> esop.EsopCubeList:
+    """An ESOP cube list of 0/1/- (inputs, outputs) pairs; '-' output marks read as 0."""
+    return esop.EsopCubeList(n, m, [cube(inputs, outputs)[:3] for inputs, outputs in cubes])
 
 
-def as_cubes(cubes: esop.EsopCubeList) -> list[pla.Cube]:
-    """The rows of an ESOP cube list rendered as 0/1/- Cubes."""
-    def literals(care: int, value: int) -> str:
-        return "".join("1" if value >> k & 1 else "0" if care >> k & 1 else "-"
-                       for k in range(cubes.n - 1, -1, -1))
-    return [pla.Cube(literals(care, value), format(outs, f"0{cubes.m}b"))
+def as_cubes(cubes: esop.EsopCubeList) -> list[tuple[str, str]]:
+    """The rows of an ESOP cube list rendered as 0/1/- (inputs, outputs) pairs."""
+    return [(pla._literals(care, value, cubes.n), format(outs, f"0{cubes.m}b"))
             for care, value, outs in cubes.cubes]
 
 

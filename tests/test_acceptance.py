@@ -19,7 +19,7 @@ from qoracle import embed, esop, grover, pla, sim, tbs
 from qoracle.cli import run_synthesis
 from qoracle.errors import GateLimitExceeded, SynthesisTimeout, TooWide
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, cube
 
 EXPECTED_ESOP_QUBITS = {
     "squar5": 13, "Z9sym": 10, "inc": 16, "Z5xp1": 17, "dist": 13, "f51m": 16,
@@ -163,7 +163,7 @@ def test_criterion_06_esop_round_trip_property():
                 "-" if rng.random() < dc_p else str(rng.integers(0, 2))
                 for _ in range(m)
             )
-            cubes.append(pla.Cube(ins, outs))
+            cubes.append(cube(ins, outs))
         table = pla.PlaTable(n=n, m=m, cubes=cubes)
         spec = pla.expand(table)
         lowered = circ.lower_polarity(

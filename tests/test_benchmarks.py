@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 
 import numpy as np
@@ -24,6 +25,17 @@ def test_manifest_matches_files():
     for entry in manifest["functions"]:
         text = (BENCH_DIR / entry["file"]).read_text()
         assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"], entry["name"]
+
+
+def test_generator_writes_the_bundled_files():
+    path = BENCH_DIR.parent / "scripts" / "make_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("make_benchmarks", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert len(generator.FUNCTIONS) == 12
+    for name in generator.FUNCTIONS:
+        text = pla.write_pla(generator.build_table(name))
+        assert text.encode() == (BENCH_DIR / f"{name}.pla").read_bytes(), name
 
 
 def test_manifest_declares_true_interfaces(bench_tables):

@@ -15,7 +15,7 @@ from qoracle import circuit as circ
 from qoracle import cli, emit, pla
 from qoracle.cli import main
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, cube
 
 SQUAR5 = str(BENCH_DIR / "squar5.pla")
 
@@ -137,6 +137,19 @@ def test_bench_rejects_non_positive_timeout(tmp_path, capsys, value):
         f"--timeout-s={value}",
     ])
     _assert_usage_error(code, capsys, "--timeout-s")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--jobs", "-3"], "--jobs"),
+    (["--methods", ","], "--methods"),
+    (["--methods", ",", "--jobs", "2"], "--methods"),
+], ids=["negative-jobs", "no-method", "no-method-parallel"])
+def test_bench_rejects_bad_jobs_and_methods(tmp_path, capsys, extra, flag):
+    code = main([
+        "bench", "--dir", str(BENCH_DIR), "--csv", str(tmp_path / "r.csv"), *extra,
+    ])
+    _assert_usage_error(code, capsys, flag)
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -527,7 +540,21 @@ def test_encode_roundtrip(tmp_path):
     assert main(["encode", "--csv", str(src), "--out", str(out)]) == 0
     table = pla.parse_pla(out.read_text())
     assert (table.n, table.m) == (6, 4)
-    assert table.cubes[-1] == pla.Cube("110100", "1000")
+    assert table.cubes[-1] == cube("110100", "1000")
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("0,0\n1,2,3\n", "line 2: expected '<domain>,<range>' integers, got '1,2,3'"),
+    ("domain,range\n0,0\n", "line 1: expected '<domain>,<range>' integers, got 'domain,range'"),
+], ids=["three-fields", "header"])
+def test_encode_names_malformed_row(tmp_path, capsys, rows, line):
+    src = tmp_path / "pairs.csv"
+    src.write_text(rows)
+    out = tmp_path / "table.pla"
+    assert main(["encode", "--csv", str(src), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: {line}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows", ["-1,0\n2,1\n", "1,-1\n2,1\n"], ids=["domain", "range"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from qoracle import circuit as circ
-from qoracle import emit, esop, pla
+from qoracle import emit, esop
 from qoracle.errors import NegativeControlPresent, ParseError
 
 from conftest import classical_circuits, from_cubes
@@ -23,7 +23,7 @@ def test_qasm_ccx_line():
 
 
 def test_qasm_lowered_card_oracle_structure():
-    cubes = from_cubes(6, 1, [pla.Cube("101010", "1")])
+    cubes = from_cubes(6, 1, [("101010", "1")])
     lowered = circ.lower_polarity(esop.esop_to_circuit(cubes))
     lines = [l for l in emit.to_qasm(lowered).splitlines() if not l.startswith("//")]
     body = lines[2:]
@@ -39,7 +39,7 @@ def test_qasm_rejects_negative_controls():
 
 
 def test_qasm_role_comment():
-    c = esop.esop_to_circuit(from_cubes(1, 1, [pla.Cube("1", "1")]))
+    c = esop.esop_to_circuit(from_cubes(1, 1, [("1", "1")]))
     text = emit.to_qasm(c)
     assert "// q[0]: input -> input" in text
     assert "// q[1]: ancilla -> output" in text
@@ -57,7 +57,7 @@ def test_json_roundtrip_empty():
 
 
 def test_json_roundtrip_with_metadata():
-    cubes = from_cubes(2, 1, [pla.Cube("10", "1")])
+    cubes = from_cubes(2, 1, [("10", "1")])
     c = esop.esop_to_circuit(cubes, method="esop")
     c.source = "demo"
     again = emit.from_json(emit.to_json(c))

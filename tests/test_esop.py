@@ -13,7 +13,7 @@ from qoracle import circuit as circ
 from qoracle import esop, pla, sim
 from qoracle.errors import SynthesisTimeout
 
-from conftest import as_cubes, from_cubes, gate_controls, pla_tables
+from conftest import as_cubes, cube, from_cubes, gate_controls, pla_tables
 
 
 def truth_table(cubes: esop.EsopCubeList) -> list[int]:
@@ -21,13 +21,13 @@ def truth_table(cubes: esop.EsopCubeList) -> list[int]:
     out = []
     for x in range(1 << cubes.n):
         word = 0
-        for cube in as_cubes(cubes):
+        for inputs, outputs in as_cubes(cubes):
             hit = all(
                 ch == "-" or int(ch) == (x >> (cubes.n - 1 - col)) & 1
-                for col, ch in enumerate(cube.inputs)
+                for col, ch in enumerate(inputs)
             )
             if hit:
-                word ^= int(cube.outputs, 2)
+                word ^= int(outputs, 2)
         out.append(word)
     return out
 
@@ -40,20 +40,20 @@ def or_table(table: pla.PlaTable) -> list[int]:
 def test_sop_to_esop_disjoints_overlap():
     table = pla.parse_pla(".i 2\n.o 1\n1- 1\n-1 1\n.e")
     cubes = esop.sop_to_esop(table)
-    assert [(c.inputs, c.outputs) for c in as_cubes(cubes)] == [("1-", "1"), ("01", "1")]
+    assert as_cubes(cubes) == [("1-", "1"), ("01", "1")]
     assert truth_table(cubes) == or_table(table)
 
 
 def test_sop_to_esop_single_cube_unchanged():
     table = pla.parse_pla(".i 3\n.o 2\n1-0 11\n.e")
     cubes = esop.sop_to_esop(table)
-    assert [(c.inputs, c.outputs) for c in as_cubes(cubes)] == [("1-0", "11")]
+    assert as_cubes(cubes) == [("1-0", "11")]
 
 
 def test_sop_to_esop_disjoint_input_unchanged():
     table = pla.parse_pla(".i 2\n.o 1\n11 1\n00 1\n.e")
     cubes = esop.sop_to_esop(table)
-    assert [(c.inputs, c.outputs) for c in as_cubes(cubes)] == [("11", "1"), ("00", "1")]
+    assert as_cubes(cubes) == [("11", "1"), ("00", "1")]
 
 
 @settings(max_examples=150, deadline=None)
@@ -63,19 +63,19 @@ def test_sop_to_esop_matches_or_semantics(table):
 
 
 def test_minimize_merges_distance_one():
-    cubes = from_cubes(2, 1, [pla.Cube("11", "1"), pla.Cube("1-", "1")])
+    cubes = from_cubes(2, 1, [("11", "1"), ("1-", "1")])
     result = esop.minimize_esop(cubes)
-    assert [(c.inputs, c.outputs) for c in as_cubes(result)] == [("10", "1")]
+    assert as_cubes(result) == [("10", "1")]
     assert truth_table(result) == truth_table(cubes)
 
 
 def test_minimize_cancels_distance_zero():
-    cubes = from_cubes(2, 1, [pla.Cube("11", "1"), pla.Cube("11", "1")])
+    cubes = from_cubes(2, 1, [("11", "1"), ("11", "1")])
     assert esop.minimize_esop(cubes).cubes == []
 
 
 def test_minimize_single_cube_unchanged():
-    cubes = from_cubes(2, 1, [pla.Cube("1-", "1")])
+    cubes = from_cubes(2, 1, [("1-", "1")])
     assert esop.minimize_esop(cubes).cubes == cubes.cubes
 
 
@@ -83,7 +83,7 @@ def test_minimize_distance_two_without_helper_stays_put():
     # A lone distance-2 pair has no third cube to absorb a rewrite, so the
     # conditional rule must leave it alone.
     cubes = from_cubes(
-        2, 1, [pla.Cube("11", "1"), pla.Cube("--", "1")]
+        2, 1, [("11", "1"), ("--", "1")]
     )
     result = esop.minimize_esop(cubes)
     assert truth_table(result) == truth_table(cubes)
@@ -95,7 +95,7 @@ def test_minimize_commits_distance_two_rewrite():
     # saturated set has three cubes; rewriting the pair exposes 100, which
     # merges with 000 and the list drops to two cubes.
     cubes = from_cubes(
-        3, 1, [pla.Cube("110", "1"), pla.Cube("1--", "1"), pla.Cube("000", "1")]
+        3, 1, [("110", "1"), ("1--", "1"), ("000", "1")]
     )
     result = esop.minimize_esop(cubes)
     assert truth_table(result) == truth_table(cubes)
@@ -124,14 +124,14 @@ def test_cubes_are_mask_rows_counted_by_len():
 
 
 def test_esop_to_circuit_single_toffoli():
-    cubes = from_cubes(2, 1, [pla.Cube("11", "1")])
+    cubes = from_cubes(2, 1, [("11", "1")])
     c = esop.esop_to_circuit(cubes)
     assert c.width == 3
     assert c.gates == [circ.mcx(2, 1 << 0 | 1 << 1)]
 
 
 def test_esop_to_circuit_card_polarity():
-    cubes = from_cubes(6, 1, [pla.Cube("101010", "1")])
+    cubes = from_cubes(6, 1, [("101010", "1")])
     c = esop.esop_to_circuit(cubes)
     # Qubits 0, 2 and 4 are positive controls, qubits 1, 3 and 5 negative.
     assert (c.gates[0].pos, c.gates[0].neg) == (0b010101, 0b101010)
@@ -186,18 +186,19 @@ def wide_tables(draw):
         if lits[extra] == "-":
             lits[extra] = draw(st.sampled_from("01-"))
         outs = draw(st.text(alphabet="01", min_size=m, max_size=m))
-        cubes.append(pla.Cube("".join(lits), outs))
-    return pla.PlaTable(n=n, m=m, cubes=cubes, kind=pla.KIND_F), draw(st.randoms())
+        cubes.append(("".join(lits), outs))
+    table = pla.PlaTable(n=n, m=m, cubes=[cube(*pair) for pair in cubes], kind=pla.KIND_F)
+    return table, cubes, draw(st.randoms())
 
 
 def mask_eval(cubes, x: int, xor: bool) -> int:
-    """OR- or XOR-combined output word of string cubes at minterm x."""
+    """OR- or XOR-combined output word of (inputs, outputs) string cubes at minterm x."""
     word = 0
-    for cube in cubes:
-        care = int(cube.inputs.replace("0", "1").replace("-", "0"), 2)
-        value = int(cube.inputs.replace("-", "0"), 2)
+    for inputs, outputs in cubes:
+        care = int(inputs.replace("0", "1").replace("-", "0"), 2)
+        value = int(inputs.replace("-", "0"), 2)
         if x & care == value:
-            mark = int(cube.outputs.replace("-", "0"), 2)
+            mark = int(outputs.replace("-", "0"), 2)
             word = word ^ mark if xor else word | mark
     return word
 
@@ -212,7 +213,7 @@ def run_gates(circuit: circ.Circuit, state: list[int]) -> list[int]:
 @settings(max_examples=60, deadline=None)
 @given(wide_tables())
 def test_wide_inputs_keep_xor_semantics(drawn):
-    table, rng = drawn
+    table, literals, rng = drawn
     n, m = table.n, table.m
     converted = esop.sop_to_esop(table)
     minimized = esop.minimize_esop(converted)
@@ -221,7 +222,7 @@ def test_wide_inputs_keep_xor_semantics(drawn):
     assert circuit.width == n + m
     for _ in range(300):
         x = rng.getrandbits(n)
-        expected = mask_eval(table.cubes, x, xor=False)
+        expected = mask_eval(literals, x, xor=False)
         assert mask_eval(as_cubes(converted), x, xor=True) == expected
         assert mask_eval(as_cubes(minimized), x, xor=True) == expected
         bits = [x >> (n - 1 - q) & 1 for q in range(n)] + [0] * m
@@ -304,14 +305,14 @@ def test_minimize_is_deterministic():
 def test_minterm_pairing_bit_order_and_rank():
     # 000 pairs with 001 at bit 0 before it could pair with 100 at bit 2,
     # and 00- takes the rank of 001, so it comes before 100.
-    cubes = from_cubes(3, 1, [pla.Cube(x, "1") for x in ("001", "100", "000")])
+    cubes = from_cubes(3, 1, [(x, "1") for x in ("001", "100", "000")])
     result = esop.minimize_esop(cubes)
-    assert [(c.inputs, c.outputs) for c in as_cubes(result)] == [("00-", "1"), ("100", "1")]
+    assert as_cubes(result) == [("00-", "1"), ("100", "1")]
     assert truth_table(result) == truth_table(cubes)
     # Three copies of 101 leave one, at the first copy's rank.
-    cubes = from_cubes(3, 1, [pla.Cube(x, "1") for x in ("101", "010", "101", "101")])
+    cubes = from_cubes(3, 1, [(x, "1") for x in ("101", "010", "101", "101")])
     result = esop.minimize_esop(cubes)
-    assert [(c.inputs, c.outputs) for c in as_cubes(result)] == [("101", "1"), ("010", "1")]
+    assert as_cubes(result) == [("101", "1"), ("010", "1")]
 
 
 @pytest.mark.parametrize("literals", [("110", "111", "011"), ("1-0", "111")])
@@ -324,7 +325,7 @@ def test_minimize_checks_deadline_before_building_columns(monkeypatch, literals)
         return insert(self, cube)
 
     monkeypatch.setattr(esop._ColumnSet, "insert", record)
-    cubes = from_cubes(3, 2, [pla.Cube(x, "11") for x in literals])
+    cubes = from_cubes(3, 2, [(x, "11") for x in literals])
     with pytest.raises(SynthesisTimeout):
         esop.minimize_esop(cubes, deadline=time.monotonic() - 1)
     assert inserted == []

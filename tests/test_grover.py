@@ -8,6 +8,8 @@ from qoracle import grover, pla, sim
 from qoracle.cli import run_synthesis
 from qoracle.errors import BadOracleShape, InvalidRank
 
+from conftest import cube
+
 
 def oracle_for(query: str):
     table = grover.card_query_to_pla(grover.parse_query(query))
@@ -16,12 +18,12 @@ def oracle_for(query: str):
 
 def test_card_query_specific_card():
     table = grover.card_query_to_pla(grover.CardQuery(suit=0b10, rank=10))
-    assert [(c.inputs, c.outputs) for c in table.cubes] == [("101010", "1")]
+    assert table.cubes == [cube("101010", "1")]
 
 
 def test_card_query_suit_only():
     table = grover.card_query_to_pla(grover.CardQuery(suit=0b00))
-    assert table.cubes[0].inputs == "00----"
+    assert table.cubes[0] == cube("00----", "1")
     spec = pla.expand(table)
     assert sum(v for v, _ in spec.entries.values()) == 16
 
@@ -103,7 +105,7 @@ def test_predicted_matches_measured_over_grid():
             if marked > 1 << n:
                 continue
             cubes = [
-                pla.Cube(format(x, f"0{n}b"), "1") for x in range(marked)
+                cube(format(x, f"0{n}b"), "1") for x in range(marked)
             ]
             table = pla.PlaTable(n=n, m=1, cubes=cubes)
             oracle = run_synthesis(table, "esop").circuit

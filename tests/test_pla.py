@@ -16,19 +16,19 @@ from qoracle.errors import (
     WidthMismatch,
 )
 
-from conftest import pla_tables
+from conftest import cube, pla_tables
 
 
 def test_parse_single_cube_and():
     table = pla.parse_pla(".i 2\n.o 1\n11 1\n.e")
     assert (table.n, table.m) == (2, 1)
-    assert table.cubes == [pla.Cube("11", "1")]
+    assert table.cubes == [cube("11", "1")]
     assert table.kind == pla.KIND_FD
 
 
 def test_parse_dash_literal():
     table = pla.parse_pla(".i 2\n.o 1\n1- 1\n.e")
-    assert table.cubes[0].inputs == "1-"
+    assert table.cubes[0] == cube("1-", "1")
 
 
 def test_parse_width_mismatch():
@@ -49,8 +49,30 @@ def test_parse_missing_header():
 
 
 def test_parse_illegal_char():
-    with pytest.raises(IllegalChar):
+    with pytest.raises(IllegalChar, match="illegal literal 'x'"):
         pla.parse_pla(".i 2\n.o 1\n1x 1\n.e")
+    with pytest.raises(IllegalChar, match="illegal literal '2'"):
+        pla.parse_pla(".i 2\n.o 1\n10 2\n.e")
+    # int("1_0", 2) is 2, so the codec checks characters before it converts.
+    with pytest.raises(IllegalChar, match="illegal literal '_'"):
+        pla.parse_pla(".i 3\n.o 1\n1_0 1\n.e")
+    with pytest.raises(WidthMismatch, match="widths 3/1"):
+        pla.parse_pla(".i 2\n.o 1\n1x1 1\n.e")
+
+
+@pytest.mark.parametrize("row,kind,error", [
+    ((-1, 0, 1, 0), pla.KIND_FD, WidthMismatch),
+    ((0b111, 0b100, 1, 0), pla.KIND_FD, WidthMismatch),
+    ((0b11, 0b11, 0b10, 0), pla.KIND_FD, WidthMismatch),
+    ((0b11, 0b11, 0, 0b10), pla.KIND_FD, WidthMismatch),
+    ((0b10, 0b11, 1, 0), pla.KIND_FD, IllegalChar),
+    ((0b11, 0b11, 1, 1), pla.KIND_FD, IllegalChar),
+    ((0b11, 0b11, 0, 1), pla.KIND_F, IllegalChar),
+], ids=["negative", "input-beyond-n", "ones-beyond-m", "dc-beyond-m",
+        "value-outside-care", "ones-and-dc", "dc-in-type-f"])
+def test_table_rejects_malformed_rows(row, kind, error):
+    with pytest.raises(error):
+        pla.PlaTable(n=2, m=1, cubes=[(0b11, 0b01, 1, 0), row], kind=kind)
 
 
 def test_parse_p_count_checked():
@@ -99,7 +121,7 @@ def test_expand_fd_dontcare_combination():
 
 
 def test_expand_too_wide():
-    table = pla.PlaTable(n=21, m=1, cubes=[pla.Cube("-" * 21, "1")])
+    table = pla.PlaTable(n=21, m=1, cubes=[cube("-" * 21, "1")])
     with pytest.raises(TooWide):
         pla.expand(table)
 
@@ -113,7 +135,7 @@ def test_expand_partial_leaves_minterms_out():
 
 
 def test_write_pla_exact():
-    table = pla.PlaTable(n=1, m=1, cubes=[pla.Cube("1", "1")])
+    table = pla.PlaTable(n=1, m=1, cubes=[cube("1", "1")])
     assert pla.write_pla(table) == ".i 1\n.o 1\n.p 1\n1 1\n.e\n"
 
 
@@ -137,7 +159,7 @@ def test_parse_write_identity(table):
 @settings(max_examples=60)
 @given(pla_tables(max_n=4, max_m=2), st.data())
 def test_expand_monotone(table, data):
-    extra = pla.Cube(
+    extra = cube(
         data.draw(st.text(alphabet="01-", min_size=table.n, max_size=table.n)),
         data.draw(
             st.text(
@@ -169,7 +191,7 @@ def test_encode_card_domain_width():
 def test_encode_identity_pairs():
     table = pla.encode_integer_pairs([(0, 0), (1, 1)])
     assert (table.n, table.m) == (1, 1)
-    assert [(c.inputs, c.outputs) for c in table.cubes] == [("0", "0"), ("1", "1")]
+    assert table.cubes == [cube("0", "0"), cube("1", "1")]
 
 
 def test_encode_power_of_two_range():
@@ -203,8 +225,8 @@ def test_encode_rejects_negative_values(pairs, named):
 )
 def test_encode_roundtrip(pairs):
     table = pla.encode_integer_pairs(pairs)
-    decoded = [(int(c.inputs, 2), int(c.outputs, 2)) for c in table.cubes]
-    assert decoded == list(pairs)
+    full = (1 << table.n) - 1
+    assert table.cubes == [(full, d, r, 0) for d, r in pairs]
 
 
 def test_spec_roundtrip_partition(bench_tables):

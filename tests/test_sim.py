@@ -17,7 +17,7 @@ from conftest import classical_circuits, control_masks, from_cubes, gate_control
 
 
 def ten_of_diamonds_oracle():
-    cubes = from_cubes(6, 1, [pla.Cube("101010", "1")])
+    cubes = from_cubes(6, 1, [("101010", "1")])
     return esop.esop_to_circuit(cubes)
 
 

@@ -168,11 +168,12 @@ def test_not_bijective_rejected():
         tbs.tbs_synthesize(partial)
 
 
-def test_gate_limit_enforced():
+def test_gate_limit_enforced(monkeypatch):
     rng = np.random.default_rng(3)
     perm = rng.permutation(64).tolist()
+    monkeypatch.setattr(tbs, "GATE_LIMIT", 5)
     with pytest.raises(GateLimitExceeded):
-        synth(perm, gate_limit=5)
+        synth(perm)
 
 
 def test_timeout_enforced():
@@ -186,8 +187,6 @@ def test_rejects_bad_arguments():
     spec = make_spec(2, [0, 1, 3, 2])
     with pytest.raises(ValueError):
         tbs.tbs_synthesize(spec, direction="sideways")
-    with pytest.raises(ValueError):
-        tbs.tbs_synthesize(spec, gate_limit=0)
 
 
 def test_width_matches_embedding(bench_tables):
