@@ -257,15 +257,13 @@ def _cmd_bench(args) -> int:
     _require_positive("--jobs", args.jobs)
     bench_dir = Path(args.dir)
     if not bench_dir.is_dir():
-        print(f"no such benchmark directory: {bench_dir}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--dir must be a benchmark directory, got {str(bench_dir)!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError(f"--methods must be a non-empty method list, got {args.methods!r}")
     for m in methods:
         if m not in METHODS:
-            print(f"unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--methods must be a list of {', '.join(METHODS)}, got {m!r}")
     # Opened first, so a bad path fails before the matrix is synthesized.
     with Path(args.csv).open("w", newline="") as fh:
         rows = run_bench(bench_dir, methods, args.timeout_s, args.jobs, args.completion)

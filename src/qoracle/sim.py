@@ -13,7 +13,7 @@ from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import NonClassicalGate, RoleMismatch, TooWide
 from .pla import SpecTable
 
-#: Hard cap for explicit 2^N enumeration (permutations and statevectors).
+#: Hard cap for explicit 2^N statevector enumeration.
 SIM_LIMIT = 20
 
 MODE_MINIMAL = "minimal"
@@ -49,6 +49,15 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(bits.T, axis=1)]
 
 
+def _keep_bits(planes: list[int], keep: int, count: int) -> list[int]:
+    """Squeeze out of ``count``-bit planes the bits clear in ``keep``, in order."""
+    nbytes = (count + 7) // 8
+    raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in (keep, *planes)), np.uint8)
+    bits = np.unpackbits(raw.reshape(-1, nbytes), axis=1, bitorder="little")
+    kept = np.packbits(bits[1:, bits[0].astype(bool)], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in kept]
+
+
 def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
     """Apply an X/MCX cascade to per-qubit bit-planes in place.
 
@@ -79,13 +88,6 @@ def apply_classical(circuit: Circuit, patterns: list[int]) -> list[int]:
     planes = _transpose(patterns, circuit.width)
     _run_planes(circuit, planes, (1 << len(patterns)) - 1)
     return _transpose(planes, len(patterns))
-
-
-def induced_permutation(circuit: Circuit) -> list[int]:
-    """The image of every basis state, in ascending basis-state order."""
-    if circuit.width > SIM_LIMIT:
-        raise TooWide(f"width {circuit.width} exceeds the simulation limit {SIM_LIMIT}")
-    return apply_classical(circuit, list(range(1 << circuit.width)))
 
 
 def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[int]]:

@@ -2,18 +2,20 @@
 
 The synthesizer walks the truth table in ascending input order and, per row,
 chooses Toffoli gates that fix the row's output pattern without disturbing
-earlier rows.  Turning the residual map into the identity and reversing the
-collected cascade yields a circuit realizing the original permutation.
+earlier rows; the collected cascade, reversed, realizes the permutation.  The
+table is bit-planes, one Python int per qubit with one bit per position, and
+the residual map sends ``sources[p]`` to ``values[p]``: a gate XORs the AND of
+its control planes into its target plane in ``values`` (output side) or
+``sources`` (input side).  Positions of fixed rows are dropped in bulk.
 """
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from .circuit import Circuit, _from_msb_first, mcx
+from .circuit import Circuit, _from_msb_first, _qubits, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
+from .sim import _keep_bits, _transpose
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
@@ -21,121 +23,119 @@ BIDIRECTIONAL = "bidirectional"
 #: Most gates one synthesis may emit before it gives up.
 GATE_LIMIT = 50_000
 
-
-def _bits_desc(mask: int) -> list[int]:
-    """The set bits of ``mask``, most significant first."""
-    bits = []
-    while mask:
-        top = 1 << (mask.bit_length() - 1)
-        bits.append(top)
-        mask ^= top
-    return bits
+#: Rows between two drops of the fixed rows' positions.
+_DROP_EVERY = 256
 
 
-def _plan(value: int, row: int, width: int) -> list[tuple[int, int]]:
-    """Gates (control mask, target bit) turning ``value`` into ``row``.
+def _cost(value: int, row: int) -> tuple[int, int]:
+    """Gate count and total control count of the gates ``_fix`` emits."""
+    add, drop = (row & ~value).bit_count(), (value & ~row).bit_count()
+    return add + drop, add * value.bit_count() + add * (add - 1) // 2 + drop * row.bit_count()
 
-    First sets the bits present in the row but missing from the value,
-    controlling on the evolving value; then clears the extra bits,
-    controlling on the row.  Bits are handled in descending significance.
+
+def _controls(planes: list[int], mask: int, full: int) -> int:
+    """The positions where every plane in ``mask`` is set."""
+    for q in _qubits(mask):
+        full &= planes[q]
+    return full
+
+
+def _find(planes: list[int], value: int, full: int) -> int:
+    """The position whose planes spell ``value``."""
+    ones, zeros = full, 0
+    for plane in planes:
+        if value & 1:
+            ones &= plane
+        else:
+            zeros |= plane
+        value >>= 1
+    return (ones ^ ones & zeros).bit_length() - 1
+
+
+def _lowest(planes: list[int], among: int) -> int:
+    """The position in ``among`` whose planes spell the lowest value (plane 0 is the top bit)."""
+    for plane in planes:
+        among = (among ^ among & plane) or among
+    return among.bit_length() - 1
+
+
+def _read(planes: list[int], at: int) -> int:
+    """The value the planes spell at position ``at``."""
+    value = 0
+    for plane in reversed(planes):
+        value = value << 1 | plane >> at & 1
+    return value
+
+
+def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> None:
+    """Turn ``value`` into ``row``, in ascending qubit order: set missing bits under the
+    growing value, then clear extra bits under the row; append (target, controls) to ``gates``.
     """
-    gates = []
-    current = value
-    for bit in _bits_desc(row & ~current):
-        gates.append((current, bit))
-        current |= bit
-    for bit in _bits_desc(current & ~row):
-        gates.append((row, bit))
-        current ^= bit
-    return gates
-
-
-def _swap(table: np.ndarray, other: np.ndarray, index: np.ndarray,
-          cmask: int, tbit: int) -> None:
-    """Swap ``table[x]`` and ``table[x | tbit]`` for every ``x`` holding ``cmask``.
-
-    ``index`` is ``arange(2**width)`` with one axis per qubit, most
-    significant bit first.  Fixing the control axes to 1 and the target axis
-    to 0 leaves a strided view of the 2^(width - |cmask| - 1) such ``x``, so
-    the pairs are gathered and scattered in a few array operations;
-    ``_plan`` never puts the target among the controls, so they are disjoint.
-    ``other`` is the inverse of ``table`` and is kept so.  On the inverse
-    table this is an output-side gate; on the permutation itself it is an
-    input-side gate.
-    """
-    width = index.ndim
-    sel = [slice(None)] * width
-    for bit in _bits_desc(cmask):
-        sel[width - bit.bit_length()] = 1
-    sel[width - tbit.bit_length()] = 0
-    xs = index[tuple(sel)].reshape(-1)
-    ys = xs | tbit
-    a, b = table[xs], table[ys]
-    table[xs], table[ys] = b, a
-    other[b], other[a] = xs, ys
-
-
-def _to_gate(cmask: int, tbit: int, width: int):
-    return mcx(width - tbit.bit_length(), _from_msb_first(cmask, width))
+    fire = _controls(planes, value, full)
+    for q in _qubits(row & ~value):
+        planes[q] ^= fire
+        gates.append((q, value))
+        fire &= planes[q]
+        value |= 1 << q
+    fire = _controls(planes, row, full)
+    for q in _qubits(value & ~row):
+        planes[q] ^= fire
+        gates.append((q, row))
 
 
 def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
-                   deadline: float | None = None,
-                   validate: bool = False) -> Circuit:
+                   deadline: float | None = None) -> Circuit:
     """Synthesize an MCT cascade realizing the given permutation table.
 
     ``deadline`` is a ``time.monotonic()`` value; rows are abandoned with
-    ``SynthesisTimeout`` once it passes.  ``validate`` re-checks the fixed
-    prefix after every gate.
+    ``SynthesisTimeout`` once it passes.
     """
     if direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
     if not spec.is_bijection():
         raise NotBijective("TBS needs a total bijection; complete the table first")
-    width = spec.width
-    size = 1 << width
-    bidirectional = direction == BIDIRECTIONAL
-    ident = np.arange(size, dtype=np.int64)
-    index = ident.reshape((2,) * width)
-    perm = spec.perm.astype(np.int64)
-    inv = np.empty_like(perm)
-    inv[perm] = ident
-
-    out_gates: list[tuple[int, int]] = []
-    in_gates: list[tuple[int, int]] = []
-    for row in range(size - 1):
+    width, size = spec.width, 1 << spec.width
+    # Bit p of plane q is qubit q at position p, which starts as row p; values are qubit masks.
+    rows = [y << width | x for x, y in enumerate(spec.perm.tolist())]
+    planes = _transpose(rows[::-1], 2 * width)
+    values, sources = planes[:width], planes[width:]
+    live = full = (1 << size) - 1  # live: the positions of rows that may still move
+    row, drop_at = 0, _DROP_EVERY
+    out_gates, in_gates = [], []
+    while True:
+        if row >= drop_at:
+            planes = _keep_bits(values + sources, live, full.bit_length())
+            values, sources = planes[:width], planes[width:]
+            live = full = (1 << live.bit_count()) - 1
+            drop_at = row + _DROP_EVERY
+        want = _from_msb_first(row, width)
+        at = _find(sources, want, full)
+        value = _read(values, at)
+        if value == want:
+            # Skip to the lowest row still moved; skipped rows keep their inert positions.
+            live ^= 1 << at
+            moved = 0
+            for v, s in zip(values, sources):
+                moved |= v ^ s
+            if not moved:
+                break
+            at = _lowest(sources, moved)
+            want, value = _read(sources, at), _read(values, at)
+            row = _from_msb_first(want, width)
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout(f"gave up at row {row} of {size}")
-        value = int(perm[row])
-        if value == row:
-            continue
-        out_plan = _plan(value, row, width)
-        if bidirectional:
-            in_plan = _plan(int(inv[row]), row, width)
-            out_cost = (len(out_plan), sum(c.bit_count() for c, _ in out_plan))
-            in_cost = (len(in_plan), sum(c.bit_count() for c, _ in in_plan))
-            take_input = in_cost < out_cost
-        else:
-            take_input = False
-        plan = in_plan if take_input else out_plan
-        if len(out_gates) + len(in_gates) + len(plan) > GATE_LIMIT:
+        planes, gates = values, out_gates
+        if direction == BIDIRECTIONAL:
+            at_in = _find(values, want, full)
+            source = _read(sources, at_in)
+            if _cost(source, want) < _cost(value, want):
+                value, planes, gates, at = source, sources, in_gates, at_in
+        if len(out_gates) + len(in_gates) + (value ^ want).bit_count() > GATE_LIMIT:
             raise GateLimitExceeded(f"over {GATE_LIMIT} gates at row {row} of {size}")
-        for cmask, tbit in plan:
-            if take_input:
-                _swap(perm, inv, index, cmask, tbit)
-                in_gates.append((cmask, tbit))
-            else:
-                _swap(inv, perm, index, cmask, tbit)
-                out_gates.append((cmask, tbit))
-            # Chosen controls can never all be present in an earlier row's
-            # pattern, so the processed prefix must stay fixed gate by gate.
-            if validate and not np.array_equal(perm[:row], ident[:row]):
-                raise AssertionError(f"a row before {row} was disturbed")
-        if validate and not np.array_equal(perm[: row + 1], ident[: row + 1]):
-            raise AssertionError(f"row {row} not fixed after its gates")
+        _fix(planes, value, want, full, gates)
+        live ^= 1 << at
+        row += 1
 
-    gates = [_to_gate(c, t, width) for c, t in in_gates]
-    gates.extend(_to_gate(c, t, width) for c, t in reversed(out_gates))
-    method = "tbs-bidirectional" if bidirectional else "tbs"
-    return Circuit(width=width, gates=gates, roles_in=spec.roles_in,
-                   roles_out=spec.roles_out, method=method)
+    gates = [mcx(q, pos) for q, pos in in_gates + out_gates[::-1]]
+    return Circuit(width=width, gates=gates, roles_in=spec.roles_in, roles_out=spec.roles_out,
+                   method="tbs-bidirectional" if direction == BIDIRECTIONAL else "tbs")

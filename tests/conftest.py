@@ -7,9 +7,14 @@ import pytest
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import esop, pla
+from qoracle import esop, pla, sim
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def induced_permutation(circuit: circ.Circuit) -> list[int]:
+    """The image of every basis state, in ascending basis-state order."""
+    return sim.apply_classical(circuit, list(range(1 << circuit.width)))
 
 
 def cube_strings(width: int, alphabet: str = "01-"):

@@ -9,7 +9,7 @@ from qoracle import circuit as circ
 from qoracle import sim
 from qoracle.errors import NotLowered
 
-from conftest import classical_circuits, control_masks, gate_controls
+from conftest import classical_circuits, control_masks, gate_controls, induced_permutation
 
 
 def test_gate_validation():
@@ -48,7 +48,7 @@ def test_lower_elides_shared_sandwich():
     )
     lowered = circ.lower_polarity(c)
     assert sum(1 for g in lowered.gates if g.kind == "x") == 2
-    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
+    assert induced_permutation(lowered) == induced_permutation(c)
 
 
 def test_lower_flushes_before_positive_use():
@@ -56,14 +56,14 @@ def test_lower_flushes_before_positive_use():
         2, [circ.mcx(0, 0, 1 << 1), circ.mcx(0, 1 << 1)]
     )
     lowered = circ.lower_polarity(c)
-    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
+    assert induced_permutation(lowered) == induced_permutation(c)
     assert all(g.neg == 0 for g in lowered.gates)
 
 
 def test_lower_cancels_explicit_x():
     c = circ.Circuit(2, [circ.mcx(0, 0, 1 << 1), circ.x(1)])
     lowered = circ.lower_polarity(c)
-    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
+    assert induced_permutation(lowered) == induced_permutation(c)
     assert sum(1 for g in lowered.gates if g.kind == "x") == 1
 
 
@@ -72,7 +72,7 @@ def test_lower_cancels_explicit_x():
 def test_lower_preserves_permutation(c):
     lowered = circ.lower_polarity(c)
     assert all(g.neg == 0 for g in lowered.gates)
-    assert sim.induced_permutation(lowered) == sim.induced_permutation(c)
+    assert induced_permutation(lowered) == induced_permutation(c)
 
 
 def reference_lower(gates):

@@ -144,7 +144,9 @@ def test_bench_rejects_non_positive_timeout(tmp_path, capsys, value):
     (["--jobs", "-3"], "--jobs"),
     (["--methods", ","], "--methods"),
     (["--methods", ",", "--jobs", "2"], "--methods"),
-], ids=["negative-jobs", "no-method", "no-method-parallel"])
+    (["--methods", "esop,foo"], "--methods"),
+    (["--dir", "/nonexistent-benchmark-dir"], "--dir"),
+], ids=["negative-jobs", "no-method", "no-method-parallel", "unknown-method", "missing-dir"])
 def test_bench_rejects_bad_jobs_and_methods(tmp_path, capsys, extra, flag):
     code = main([
         "bench", "--dir", str(BENCH_DIR), "--csv", str(tmp_path / "r.csv"), *extra,

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import embed, sim, tbs
+from qoracle import embed, tbs
 from qoracle.errors import GateLimitExceeded, NotBijective, SynthesisTimeout
+
+from conftest import induced_permutation
 
 
 def make_spec(width, perm):
@@ -23,9 +25,14 @@ def synth(perm, direction=tbs.UNIDIRECTIONAL, **kw):
 
 
 def reference_tbs(perm, width, bidirectional):
-    """TBS on Python lists, each gate walking its pairs one submask at a time."""
+    """TBS on Python lists, each gate walking its pairs one submask at a time.
+
+    Asserts after every gate that the rows before the current one are still
+    fixed, and after each row's gates that the row itself is fixed.
+    """
     size = 1 << width
     perm = list(perm)
+    ident = list(range(size))
     inv = [0] * size
     for x, y in enumerate(perm):
         inv[y] = x
@@ -65,14 +72,16 @@ def reference_tbs(perm, width, bidirectional):
             continue
         out_plan = plan(perm[row], row)
         in_plan = plan(inv[row], row)
-        if bidirectional and cost(in_plan) < cost(out_plan):
-            for cmask, tbit in in_plan:
+        take_input = bidirectional and cost(in_plan) < cost(out_plan)
+        for cmask, tbit in in_plan if take_input else out_plan:
+            if take_input:
                 swap(perm, inv, cmask, tbit)
                 in_gates.append((cmask, tbit))
-        else:
-            for cmask, tbit in out_plan:
+            else:
                 swap(inv, perm, cmask, tbit)
                 out_gates.append((cmask, tbit))
+            assert perm[:row] == ident[:row], f"a row before {row} was disturbed"
+        assert perm[row] == row, f"row {row} not fixed after its gates"
     return [
         circ.mcx(width - tbit.bit_length(),
                  sum(1 << q for q in range(width) if cmask >> (width - 1 - q) & 1))
@@ -90,7 +99,7 @@ def test_single_cnot():
     assert len(c.gates) == 1
     gate = c.gates[0]
     assert gate == circ.mcx(1, 1 << 0)
-    assert sim.induced_permutation(c) == [0, 1, 3, 2]
+    assert induced_permutation(c) == [0, 1, 3, 2]
 
 
 def test_single_toffoli():
@@ -103,15 +112,17 @@ def test_single_toffoli():
 def test_row_zero_emits_plain_x():
     c = synth([3, 2, 1, 0])
     kinds = {g.kind for g in c.gates}
-    assert sim.induced_permutation(c) == [3, 2, 1, 0]
+    assert induced_permutation(c) == [3, 2, 1, 0]
     assert kinds == {"x"}
 
 
 def test_all_two_qubit_permutations_both_directions():
     for perm in itertools.permutations(range(4)):
-        for direction in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
-            c = synth(list(perm), direction, validate=True)
-            assert tuple(sim.induced_permutation(c)) == perm
+        for bidirectional in (False, True):
+            direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
+            c = synth(list(perm), direction)
+            assert tuple(induced_permutation(c)) == perm
+            assert c.gates == reference_tbs(perm, 2, bidirectional)
 
 
 @settings(max_examples=120, deadline=None)
@@ -121,9 +132,11 @@ def test_all_two_qubit_permutations_both_directions():
 )
 def test_random_permutations_up_to_six_qubits(perm, bidirectional):
     direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
-    c = synth(list(perm), direction, validate=True)
+    c = synth(list(perm), direction)
     assert all(g.neg == 0 for g in c.gates)
-    assert sim.induced_permutation(c) == list(perm)
+    assert induced_permutation(c) == list(perm)
+    width = (len(perm) - 1).bit_length()
+    assert c.gates == reference_tbs(perm, width, bidirectional)
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,12 +150,51 @@ def test_matches_list_reference(perm, bidirectional):
     assert synth(list(perm), direction).gates == reference_tbs(perm, width, bidirectional)
 
 
+@pytest.mark.parametrize("width,seed", [(10, 10), (11, 11)])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_wide_permutations_match_list_reference(width, seed, bidirectional):
+    # Wide enough that the planes drop fixed rows several times.
+    perm = np.random.default_rng(seed).permutation(1 << width).tolist()
+    direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
+    c = synth(perm, direction)
+    assert c.gates == reference_tbs(perm, width, bidirectional)
+    assert induced_permutation(c) == perm
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_mostly_fixed_permutation_matches_list_reference(bidirectional):
+    # Runs of fixed rows between shuffled blocks, on both sides of the
+    # points where the planes drop fixed rows.
+    rng = np.random.default_rng(12)
+    perm = list(range(1 << 10))
+    for start, stop in ((3, 9), (250, 262), (300, 340), (511, 520), (900, 1024)):
+        perm[start:stop] = rng.permutation(perm[start:stop]).tolist()
+    direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
+    c = synth(perm, direction)
+    assert c.gates == reference_tbs(perm, 10, bidirectional)
+    assert induced_permutation(c) == perm
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_row_zero_uncontrolled_x_before_dropping_rows(bidirectional):
+    # Row 0 maps to all ones, so every fix for it is an uncontrolled X, and
+    # 512 rows run past the first time the planes drop fixed rows.
+    perm = np.random.default_rng(9).permutation(512).tolist()
+    top = perm.index(511)
+    perm[0], perm[top] = perm[top], perm[0]
+    direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
+    c = synth(perm, direction)
+    assert any(g.kind == circ.KIND_X for g in c.gates)
+    assert c.gates == reference_tbs(perm, 9, bidirectional)
+    assert induced_permutation(c) == perm
+
+
 def test_sixteen_qubit_last_pair_swap_is_one_gate():
     perm = list(range(1 << 16))
     perm[-2], perm[-1] = perm[-1], perm[-2]
     c = synth(perm)
     assert c.gates == [circ.mcx(15, (1 << 15) - 1)]
-    assert sim.induced_permutation(c) == perm
+    assert induced_permutation(c) == perm
 
 
 def test_bidirectional_prefers_cheaper_input_side():
@@ -150,13 +202,14 @@ def test_bidirectional_prefers_cheaper_input_side():
     # bit away, so the bidirectional pass must fix it with a single gate on
     # the input end of the cascade.
     perm = [0, 6, 2, 1, 4, 5, 3, 7]
-    bi = synth(perm, tbs.BIDIRECTIONAL, validate=True)
-    assert sim.induced_permutation(bi) == perm
+    bi = synth(perm, tbs.BIDIRECTIONAL)
+    assert induced_permutation(bi) == perm
+    assert bi.gates == reference_tbs(perm, 3, True)
     first = bi.gates[0]
     assert first == circ.mcx(1, 1 << 2)
 
     uni = synth(perm)
-    assert sim.induced_permutation(uni) == perm
+    assert induced_permutation(uni) == perm
     assert len(bi.gates) < len(uni.gates)
 
 
@@ -181,6 +234,8 @@ def test_timeout_enforced():
     perm = rng.permutation(256).tolist()
     with pytest.raises(SynthesisTimeout):
         synth(perm, deadline=0.0)
+    with pytest.raises(SynthesisTimeout):
+        synth(perm, tbs.BIDIRECTIONAL, deadline=0.0)
 
 
 def test_rejects_bad_arguments():
@@ -197,5 +252,5 @@ def test_width_matches_embedding(bench_tables):
     total = embed.complete_onto_hamming(partial)
     c = tbs.tbs_synthesize(total)
     assert c.width == report.n_total == 9
-    assert sim.induced_permutation(c) == total.perm.tolist()
+    assert induced_permutation(c) == total.perm.tolist()
     assert c.roles_in == total.roles_in and c.roles_out == total.roles_out
