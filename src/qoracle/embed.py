@@ -177,7 +177,7 @@ def complete_onto_hamming(partial: ReversibleSpec) -> ReversibleSpec:
             leftover_in.append(p)
     remaining = sorted(out_set)
     for p in leftover_in:
-        best = min(remaining, key=lambda q: (bin(p ^ q).count("1"), q))
+        best = min(remaining, key=lambda q: ((p ^ q).bit_count(), q))
         remaining.remove(best)
         perm[p] = best
     return ReversibleSpec(partial.width, perm, partial.roles_in, partial.roles_out)

@@ -12,7 +12,9 @@ An output column whose cubes are all fully specified (every esop-rtt column,
 and esop with don't-care minimization) first has its minterms paired in bulk
 with numpy: repeated minterms cancel by parity, then adjacent pairs merge one
 mask bit at a time, least significant first.  The insertion cascade gets the
-much shorter list that is left.
+much shorter list that is left.  Each distance-2 sweep finds its pairs with
+one numpy argsort of every (live cube, bit pair) key, int64 while a key fits
+62 bits and Python ints (dtype=object) beyond.
 """
 from __future__ import annotations
 
@@ -148,7 +150,8 @@ class _ColumnSet:
     value and k packed into one int with care and value bit k forced to 1,
     so cubes differing only at bit k share it.  Live cubes never share a
     key, so a cube's twin is the owner of its bit-0 key when that owner
-    equals it.
+    equals it.  Distance-2 pairs are not indexed here: cubes churn about as
+    often as sweeps read pairs, so each sweep sorts them out afresh.
     """
 
     def __init__(self, n: int, cubes: list[tuple[int, int]]):
@@ -197,35 +200,51 @@ class _ColumnSet:
         return not set(map(self.by_key.get, self._keys(cube))) <= {None, *exclude}
 
 
-def _distance2_sweep(column: _ColumnSet) -> bool:
-    """One pass of conditional distance-2 rewrites over a saturated column.
+#: numpy holds masks as int64 while they fit 62 bits: care and value of a fully
+#: specified column of n <= _PAIR_MAX_N inputs, and a distance-2 key of
+#: 2n + bits(P) bits for P bit pairs.  Wider keys are Python ints (dtype=object).
+_PAIR_MAX_N = 62
 
-    A pair is rewritten only when one of the rewritten cubes immediately
-    cancels or merges with a third cube, so every commit shrinks the set.
+
+def _distance2_pairs(column: _ColumnSet) -> list[tuple[int, int]]:
+    """Ascending ``(id_a, id_b)`` pairs of live cubes two literals apart.
+
+    Each (live cube, bit pair (i, j)) gets one key: care and value with bits
+    i and j cleared, above the pair's index.  Cubes sharing a key agree off
+    i and j and, as the column is saturated, differ at both, so a key's
+    bucket holds at most three cubes.  One argsort of all keys puts each
+    bucket in one run, and pairs are read off neighbours one and two apart.
     """
-    column.dirty = False
-    n = column.n
+    n, live = column.n, column.live
     bit_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     shift = len(bit_pairs).bit_length()
-    marks = [((1 << i | 1 << j) << n | 1 << i | 1 << j) << shift | p
-             for p, (i, j) in enumerate(bit_pairs)]
-    # Pair ids as one int, smaller id first; ids ascend in ``live``.
-    stride = column.next_id
-    first: dict[int, int] = {}
-    groups: dict[int, list[int]] = {}
-    pair_set: set[int] = set()
-    for cube_id, (care, value) in column.live.items():
-        packed = (care << n | value) << shift
-        keys = [packed | mark for mark in marks]
-        for key in first.keys() & keys:
-            ids = groups.setdefault(key, [first[key]])
-            pair_set.update(a * stride + cube_id for a in ids)
-            ids.append(cube_id)
-        first.update(dict.fromkeys(keys, cube_id))
+    dtype = np.int64 if 2 * n + shift <= _PAIR_MAX_N else object
+    keep = np.array([~(1 << i | 1 << j) for i, j in bit_pairs], dtype=dtype)
+    care, value = np.array(list(live.values()), dtype=dtype).reshape(-1, 2).T
+    keys = ((care[:, None] & keep) << n | value[:, None] & keep) << shift | np.arange(len(keep))
+    order = np.argsort(keys, axis=None)
+    keys, ids = keys.ravel()[order], np.fromiter(live, np.int64, len(live))[order // len(keep)]
+    # argsort leaves the ids of one bucket in any order.
+    pairs = np.concatenate([np.stack((ids[:-gap], ids[gap:]), axis=1)[keys[gap:] == keys[:-gap]]
+                            for gap in (1, 2)])
+    pairs.sort(axis=1)
+    return sorted(set(zip(*pairs.T.tolist())))
+
+
+def _distance2_sweep(column: _ColumnSet, deadline: float | None) -> bool:
+    """One pass of conditional distance-2 rewrites over a saturated column.
+
+    Pairs from ``_distance2_pairs`` are visited in ascending id order, and
+    the deadline is checked every 256 pairs.  A pair is rewritten only when
+    one rewritten cube immediately cancels or merges with a third cube, so
+    every commit shrinks the set.
+    """
+    column.dirty = False
     live = column.live
     changed = False
-    for pair in sorted(pair_set):
-        id_a, id_b = divmod(pair, stride)
+    for count, (id_a, id_b) in enumerate(_distance2_pairs(column)):
+        if not count % 256:
+            _check_deadline(deadline)
         a, b = live.get(id_a), live.get(id_b)
         if a is None or b is None:
             continue
@@ -245,10 +264,6 @@ def _distance2_sweep(column: _ColumnSet) -> bool:
                 changed = True
                 break
     return changed
-
-
-#: Widest fully specified column paired in numpy: care and value are int64.
-_PAIR_MAX_N = 62
 
 
 def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
@@ -326,7 +341,7 @@ def minimize_esop(cubes: EsopCubeList, deadline: float | None = None) -> EsopCub
     columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes, deadline)]
     for _ in range(MAX_PASSES):
         _check_deadline(deadline)
-        if not any([_distance2_sweep(col) for col in columns if col.dirty]):
+        if not any([_distance2_sweep(col, deadline) for col in columns if col.dirty]):
             break
     result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
     return cubes if len(result.cubes) > len(cubes.cubes) else result

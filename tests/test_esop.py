@@ -329,3 +329,84 @@ def test_minimize_checks_deadline_before_building_columns(monkeypatch, literals)
     with pytest.raises(SynthesisTimeout):
         esop.minimize_esop(cubes, deadline=time.monotonic() - 1)
     assert inserted == []
+
+
+def reference_distance2_pairs(column: esop._ColumnSet) -> list[tuple[int, int]]:
+    """Dict-keyed distance-2 pair builder, the reference for ``_distance2_pairs``.
+
+    Each (live cube, bit pair) key sets bits i and j in care and value; the
+    first owner of a key is remembered, and every later owner pairs with
+    all earlier ones.
+    """
+    n = column.n
+    bit_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    shift = len(bit_pairs).bit_length()
+    marks = [((1 << i | 1 << j) << n | 1 << i | 1 << j) << shift | p
+             for p, (i, j) in enumerate(bit_pairs)]
+    first: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    pairs: set[tuple[int, int]] = set()
+    for cube_id, (care, value) in column.live.items():
+        packed = (care << n | value) << shift
+        keys = [packed | mark for mark in marks]
+        for key in first.keys() & keys:
+            ids = groups.setdefault(key, [first[key]])
+            pairs.update((a, cube_id) for a in ids)
+            ids.append(cube_id)
+        first.update(dict.fromkeys(keys, cube_id))
+    return sorted(pairs)
+
+
+@st.composite
+def saturated_columns(draw, widths):
+    """A ``_ColumnSet`` of cubes that share a base and vary on a few bits.
+
+    The varied window always holds the top bit, so wide columns carry
+    masks past bit 31; keeping the rest fixed makes distance-2 pairs and
+    three-cube buckets common after the cascade.
+    """
+    n = draw(widths)
+    full = (1 << n) - 1
+    window = {n - 1, *draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6))}
+    base_care = draw(st.integers(0, full))
+    base_value = draw(st.integers(0, full)) & base_care
+    cubes = []
+    for _ in range(draw(st.integers(0, 40))):
+        care, value = base_care, base_value
+        for k in window:
+            literal = draw(st.sampled_from("01-"))
+            care = care & ~(1 << k) | (literal != "-") << k
+            value = value & ~(1 << k) | (literal == "1") << k
+        cubes.append((care, value))
+    return esop._ColumnSet(n, cubes)
+
+
+@pytest.mark.parametrize("widths", [st.integers(1, 8), st.just(20), st.integers(33, 40)],
+                         ids=["narrow", "int64-keys", "object-keys"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_distance2_pairs_match_reference(widths, data):
+    column = data.draw(saturated_columns(widths))
+    assert esop._distance2_pairs(column) == reference_distance2_pairs(column)
+
+
+def test_distance2_pairs_three_cube_bucket():
+    column = esop._ColumnSet(2, [pla._masks(x) for x in ("01", "1-", "-0")])
+    assert len(column.live) == 3
+    assert esop._distance2_pairs(column) == [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("n, literals", [(3, ()), (3, ("1-0",)), (1, ("0", "1")),
+                                         (3, ("000", "111")), (4, ("00--", "1111", "-10-"))])
+def test_columns_without_distance2_pairs(n, literals):
+    column = esop._ColumnSet(n, [pla._masks(x) for x in literals])
+    assert esop._distance2_pairs(column) == []
+    assert esop._distance2_sweep(column, None) is False
+
+
+def test_distance2_sweep_checks_deadline():
+    column = esop._ColumnSet(3, [pla._masks(x) for x in ("110", "1--", "000")])
+    live = dict(column.live)
+    with pytest.raises(SynthesisTimeout):
+        esop._distance2_sweep(column, time.monotonic() - 1)
+    assert column.live == live
