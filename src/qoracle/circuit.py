@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
-from .errors import NotLowered
+from .errors import QOracleError
 from .embed import ROLE_INPUT, ROLE_OUTPUT
 
 KIND_X = "x"
@@ -170,7 +170,7 @@ def lower_polarity(circuit: Circuit) -> Circuit:
 def complexity(circuit: Circuit) -> int:
     """Sum of per-gate costs, each the number of qubits the gate touches."""
     if any(gate.neg for gate in circuit.gates):
-        raise NotLowered("complexity is defined on lowered circuits")
+        raise QOracleError("complexity is defined on lowered circuits")
     return sum(gate.cost for gate in circuit.gates)
 
 

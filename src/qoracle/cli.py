@@ -18,6 +18,7 @@ from .errors import (
     QOracleError,
     SynthesisTimeout,
     TooWide,
+    VerificationFailed,
 )
 
 METHODS = ("esop", "esop-rtt", "tbs")
@@ -28,14 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_LIMIT = 4
-
-
-class VerificationFailed(QOracleError):
-    """The synthesized circuit disagreed with its source table."""
-
-    def __init__(self, report: sim.VerificationReport):
-        super().__init__(report.summary())
-        self.report = report
 
 
 @dataclass
@@ -54,12 +47,12 @@ def _reexpress(total: embed.ReversibleSpec, report: embed.EmbeddingReport,
     return pla.SpecTable(n=n + report.w, m=m + report.v, entries=entries)
 
 
-def _embed(resolved: pla.SpecTable,
-           completion: str) -> tuple[embed.ReversibleSpec, embed.EmbeddingReport]:
+def _embed(resolved: pla.SpecTable, completion: str,
+           deadline: float) -> tuple[embed.ReversibleSpec, embed.EmbeddingReport]:
     """RTT-embed a resolved table and complete it onto a permutation."""
     partial_spec, embedding = embed.rtt_embed(resolved)
     # Looked up at call time, so a patched ``embed`` attribute is the one run.
-    total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
+    total = getattr(embed, f"complete_onto_{completion}")(partial_spec, deadline=deadline)
     embed.finish_report(embedding, partial_spec, total)
     return total, embedding
 
@@ -94,7 +87,7 @@ def run_synthesis(
         policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
         resolved = embed.resolve_dontcares(spec, policy)
     if method != "esop":
-        total, embedding = _embed(resolved, completion)
+        total, embedding = _embed(resolved, completion, deadline)
 
     if method == "tbs":
         raw = tbs.tbs_synthesize(total, direction=direction, deadline=deadline)

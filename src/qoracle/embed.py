@@ -7,12 +7,13 @@ permutation on all 2^N bit patterns.
 """
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooWide, UnresolvedDontCare
+from .errors import QOracleError, SynthesisTimeout, TooWide
 from .pla import EXPANSION_LIMIT, SpecTable, _fill
 
 UNSPECIFIED = -1
@@ -65,7 +66,7 @@ class ReversibleSpec:
 def max_output_multiplicity(spec: SpecTable) -> int:
     """Largest number of specified minterms sharing one output pattern."""
     if spec.has_dontcares():
-        raise UnresolvedDontCare("resolve don't-care output bits first")
+        raise QOracleError("resolve don't-care output bits first")
     if not spec.entries:
         return 0
     counts = Counter(value for value, _ in spec.entries.values())
@@ -126,7 +127,7 @@ def rtt_embed(spec: SpecTable) -> tuple[ReversibleSpec, EmbeddingReport]:
     for x in sorted(spec.entries):
         value, dc = spec.entries[x]
         if dc:
-            raise UnresolvedDontCare("resolve don't-care output bits first")
+            raise QOracleError("resolve don't-care output bits first")
         g = next_g[value]
         next_g[value] += 1
         perm[x << w] = (value << (v + pad)) | (g << pad)
@@ -149,8 +150,12 @@ def _unused(partial: ReversibleSpec) -> tuple[list[int], list[int]]:
     return unused_in.tolist(), np.flatnonzero(out_mask).tolist()
 
 
-def complete_onto_naive(partial: ReversibleSpec) -> ReversibleSpec:
-    """Pair unused inputs and outputs in ascending order, first to first."""
+def complete_onto_naive(partial: ReversibleSpec, *,
+                        deadline: float | None = None) -> ReversibleSpec:
+    """Pair unused inputs and outputs in ascending order, first to first.
+
+    This is one linear pass, so ``deadline`` is not checked.
+    """
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
     for p, q in zip(unused_in, unused_out):
@@ -158,12 +163,15 @@ def complete_onto_naive(partial: ReversibleSpec) -> ReversibleSpec:
     return ReversibleSpec(partial.width, perm, partial.roles_in, partial.roles_out)
 
 
-def complete_onto_hamming(partial: ReversibleSpec) -> ReversibleSpec:
+def complete_onto_hamming(partial: ReversibleSpec, *,
+                          deadline: float | None = None) -> ReversibleSpec:
     """Pair unused inputs to the closest unused outputs.
 
     Pass 1 maps every unused input that is itself an unused output to
     itself; pass 2 gives the leftovers, in ascending order, the unused
     output at minimal Hamming distance (ties to the smallest value).
+    ``deadline`` is a ``time.monotonic()`` value, checked every 256
+    leftover rows of pass 2; once it passes, ``SynthesisTimeout`` is raised.
     """
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
@@ -176,7 +184,9 @@ def complete_onto_hamming(partial: ReversibleSpec) -> ReversibleSpec:
         else:
             leftover_in.append(p)
     remaining = sorted(out_set)
-    for p in leftover_in:
+    for i, p in enumerate(leftover_in):
+        if not i % 256 and deadline is not None and time.monotonic() > deadline:
+            raise SynthesisTimeout(f"completion gave up at leftover row {i} of {len(leftover_in)}")
         best = min(remaining, key=lambda q: ((p ^ q).bit_count(), q))
         remaining.remove(best)
         perm[p] = best

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 
 from .circuit import KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, Gate, _qubits
-from .errors import NegativeControlPresent, ParseError
+from .errors import QOracleError
 
 #: Netlist spelling of a control's polarity.
 POSITIVE = "+"
@@ -25,7 +25,7 @@ def to_qasm(circuit: Circuit) -> str:
     prefixes: dict[tuple[str, int], str] = {}
     for kind, target, pos, neg in circuit.gates:
         if neg:
-            raise NegativeControlPresent("lower the circuit before QASM emission")
+            raise QOracleError("lower the circuit before QASM emission")
         if kind in _SIMPLE:
             lines.append(f"{_SIMPLE[kind]} q[{target}];")
             continue
@@ -65,13 +65,16 @@ def to_json(circuit: Circuit) -> str:
 
 
 def from_json(text: str) -> Circuit:
-    """Decode a JSON netlist; inverse of to_json."""
+    """Decode a JSON netlist; inverse of to_json.
+
+    The width and every qubit index must be JSON integers and every gate kind
+    one of the circuit kinds; anything else raises ``QOracleError``.
+    """
     try:
         doc = json.loads(text)
-        width = doc["width"]
+        width = _integer(doc["width"], "width")
         roles = doc.get("roles") or [["input", "output"]] * width
-        gates = [Gate(g["kind"], g["target"], *_masks(g.get("controls", []), width))
-                 for g in doc["gates"]]
+        gates = [_gate(g, width) for g in doc["gates"]]
         provenance = doc.get("provenance", {})
         return Circuit(
             width=width,
@@ -81,15 +84,32 @@ def from_json(text: str) -> Circuit:
             source=str(provenance.get("source", "")),
             method=str(provenance.get("method", "")),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"bad circuit netlist: {exc}") from exc
+    # json.JSONDecodeError is a ValueError; KeyError and IndexError are LookupErrors.
+    except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as exc:
+        raise QOracleError(f"bad circuit netlist: {exc}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _gate(entry, width: int) -> Gate:
+    """One netlist gate entry as a ``Gate``; ``Circuit`` checks it against the width."""
+    kind = entry["kind"]
+    if kind not in _SIMPLE and kind not in _CONTROLLED:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return Gate(kind, _integer(entry["target"], "target qubit"),
+                *_masks(entry.get("controls", []), width))
 
 
 def _masks(controls, width: int) -> tuple[int, int]:
     """Positive and negative control masks of a gate's [qubit, polarity] pairs."""
     masks = {POSITIVE: 0, NEGATIVE: 0}
     for q, pol in controls:
-        q = int(q)
+        q = _integer(q, "control qubit")
         if not 0 <= q < width:
             raise ValueError(f"control qubit {q} outside width {width}")
         if (masks[POSITIVE] | masks[NEGATIVE]) >> q & 1:

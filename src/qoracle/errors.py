@@ -1,89 +1,33 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one per CLI exit code.
+
+``main`` exits 2 on ``QOracleError``, 3 on ``VerificationFailed`` and 4 on
+``TooWide``, ``GateLimitExceeded`` and ``SynthesisTimeout``; the bench
+harness and the benchmark scripts catch the exit-4 classes by name.
+"""
 
 
 class QOracleError(Exception):
-    """Base class for all toolkit errors."""
-
-
-# --- table parsing / construction -------------------------------------------
-
-class MissingHeader(QOracleError):
-    """A .pla file lacks the .i/.o declarations before its first cube."""
-
-
-class UnknownDirective(QOracleError):
-    """A .pla directive outside the supported subset was encountered."""
-
-
-class IllegalChar(QOracleError):
-    """A cube contains characters other than 0, 1 and -."""
-
-
-class WidthMismatch(QOracleError):
-    """A cube or declaration disagrees with the declared input/output widths."""
+    """A table, netlist, query or call the toolkit refuses (exit 2)."""
 
 
 class TooWide(QOracleError):
-    """An explicit expansion would exceed the configured width limit."""
+    """An expansion, embedding or simulation would exceed its width limit (exit 4)."""
 
-
-class DuplicateDomain(QOracleError):
-    """An integer value table lists the same domain value twice."""
-
-
-class NegativeValue(QOracleError):
-    """An integer value table lists a negative domain or range value."""
-
-
-# --- embedding ----------------------------------------------------------------
-
-class UnresolvedDontCare(QOracleError):
-    """An operation requires a fully resolved table but don't-cares remain."""
-
-
-class NotBijective(QOracleError):
-    """A claimed permutation is not a bijection."""
-
-
-# --- synthesis ----------------------------------------------------------------
 
 class GateLimitExceeded(QOracleError):
-    """Synthesis was aborted after emitting more gates than allowed."""
+    """Synthesis was aborted after emitting more gates than allowed (exit 4)."""
 
 
 class SynthesisTimeout(QOracleError):
-    """Synthesis exceeded its wall-clock budget."""
+    """Synthesis exceeded its wall-clock budget (exit 4)."""
 
 
-class NotLowered(QOracleError):
-    """A metric requiring positive-polarity controls saw a negative control."""
+class VerificationFailed(QOracleError):
+    """The synthesized circuit disagreed with its source table (exit 3).
 
+    ``report`` is the failing ``sim.VerificationReport``.
+    """
 
-# --- simulation / verification -------------------------------------------------
-
-class NonClassicalGate(QOracleError):
-    """The permutation simulator only accepts X/MCX gates."""
-
-
-class RoleMismatch(QOracleError):
-    """Circuit qubit roles do not line up with the table being verified."""
-
-
-# --- Grover assembly ------------------------------------------------------------
-
-class InvalidRank(QOracleError):
-    """A card query used one of the unused rank codes."""
-
-
-class BadOracleShape(QOracleError):
-    """Grover assembly needs a domain-preserving oracle with one output qubit."""
-
-
-# --- serialization ----------------------------------------------------------------
-
-class NegativeControlPresent(QOracleError):
-    """QASM emission requires a lowered (positive-control-only) circuit."""
-
-
-class ParseError(QOracleError):
-    """A serialized circuit netlist could not be decoded."""
+    def __init__(self, report):
+        super().__init__(report.summary())
+        self.report = report

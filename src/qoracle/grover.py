@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, h, mcz, x
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
-from .errors import BadOracleShape, InvalidRank
+from .errors import QOracleError
 from .pla import PlaTable
 from .sim import StateVector, apply_statevector, zero_state
 
@@ -48,7 +48,7 @@ def parse_query(text: str) -> CardQuery:
             suit = SUIT_CODES[value]
         elif key == "rank":
             if value not in RANK_CODES:
-                raise InvalidRank(f"unknown rank {value!r}")
+                raise QOracleError(f"unknown rank {value!r}")
             rank = RANK_CODES[value]
         else:
             raise ValueError(f"unknown query key {key!r}")
@@ -62,7 +62,7 @@ def card_query_to_pla(query: CardQuery) -> PlaTable:
     if query.suit is None and query.rank is None:
         raise ValueError("query needs a suit, a rank, or both")
     if query.rank is not None and query.rank not in _VALID_RANKS:
-        raise InvalidRank(f"rank code {query.rank:04b} is unused")
+        raise QOracleError(f"rank code {query.rank:04b} is unused")
     care = (0 if query.suit is None else 0b110000) | (0 if query.rank is None else 0b001111)
     value = (query.suit or 0) << 4 | (query.rank or 0)
     return PlaTable(n=CARD_BITS, m=1, cubes=[(care, value, 1, 0)])
@@ -113,11 +113,11 @@ def diffusion_gates(n: int) -> list[Gate]:
 def _check_oracle_shape(oracle: Circuit) -> int:
     n = oracle.width - 1
     if n < 1:
-        raise BadOracleShape("oracle must have at least one search qubit")
+        raise QOracleError("oracle must have at least one search qubit")
     expect_in = (ROLE_INPUT,) * n + (ROLE_ANCILLA,)
     expect_out = (ROLE_INPUT,) * n + (ROLE_OUTPUT,)
     if oracle.roles_in != expect_in or oracle.roles_out != expect_out:
-        raise BadOracleShape(
+        raise QOracleError(
             "need a domain-preserving oracle with one trailing output qubit"
         )
     return n

@@ -9,15 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DuplicateDomain,
-    IllegalChar,
-    MissingHeader,
-    NegativeValue,
-    TooWide,
-    UnknownDirective,
-    WidthMismatch,
-)
+from .errors import QOracleError, TooWide
 
 #: Largest input width expanded into an explicit minterm table.
 EXPANSION_LIMIT = 20
@@ -41,7 +33,7 @@ def _masks(literals: str) -> tuple[int, int]:
     """(care, value) of a 0/1/- string, column 0 the top bit; '-' is 0 in both."""
     if not _LITERALS.issuperset(literals):
         bad = next(ch for ch in literals if ch not in _LITERALS)
-        raise IllegalChar(f"illegal literal {bad!r} in cube")
+        raise QOracleError(f"illegal literal {bad!r} in cube")
     care = int(literals.replace("0", "1").replace("-", "0"), 2)
     return care, int(literals.replace("-", "0"), 2)
 
@@ -75,18 +67,18 @@ class PlaTable:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
-            raise WidthMismatch("tables need at least one input and one output")
+            raise QOracleError("tables need at least one input and one output")
         if self.kind not in (KIND_F, KIND_FD):
-            raise UnknownDirective(f"unsupported table type {self.kind!r}")
+            raise QOracleError(f"unsupported table type {self.kind!r}")
         n, m = self.n, self.m
         for row in self.cubes:
             care, value, ones, dc = row
             if min(row) < 0 or (care | value) >> n or (ones | dc) >> m:
-                raise WidthMismatch(f"cube {row} does not match .i {n} .o {m}")
+                raise QOracleError(f"cube {row} does not match .i {n} .o {m}")
             if value & ~care or ones & dc:
-                raise IllegalChar(f"cube {row} has value outside care or ones inside dc")
+                raise QOracleError(f"cube {row} has value outside care or ones inside dc")
             if dc and self.kind == KIND_F:
-                raise IllegalChar("type f tables forbid '-' output marks")
+                raise QOracleError("type f tables forbid '-' output marks")
 
 
 # Output patterns of a SpecTable entry are stored as (value, dc_mask) integer
@@ -126,10 +118,10 @@ def parse_pla(text: str) -> PlaTable:
             fields = line.split()
             key = fields[0]
             if key not in _DIRECTIVES:
-                raise UnknownDirective(f"unsupported directive {key}")
+                raise QOracleError(f"unsupported directive {key}")
             if key in (".i", ".o", ".p"):
                 if len(fields) != 2 or not fields[1].isdigit():
-                    raise WidthMismatch(f"malformed {key} directive: {line!r}")
+                    raise QOracleError(f"malformed {key} directive: {line!r}")
                 count = int(fields[1])
                 if key == ".i":
                     n = count
@@ -143,32 +135,32 @@ def parse_pla(text: str) -> PlaTable:
                 ob = fields[1:]
             elif key == ".type":
                 if len(fields) != 2 or fields[1].lower() not in (KIND_F, KIND_FD):
-                    raise UnknownDirective(f"unsupported table type in {line!r}")
+                    raise QOracleError(f"unsupported table type in {line!r}")
                 kind = fields[1].lower()
             elif key == ".e":
                 ended = True
             continue
         if n is None or m is None:
-            raise MissingHeader("cube line before .i/.o declarations")
+            raise QOracleError("cube line before .i/.o declarations")
         fields = line.split()
         if len(fields) != 2:
-            raise WidthMismatch(f"expected '<inputs> <outputs>', got {line!r}")
+            raise QOracleError(f"expected '<inputs> <outputs>', got {line!r}")
         ins, outs = fields
         if len(ins) != n or len(outs) != m:
-            raise WidthMismatch(
+            raise QOracleError(
                 f"cube {line!r} has widths {len(ins)}/{len(outs)}, declared {n}/{m}"
             )
         (care, value), (out_care, ones) = _masks(ins), _masks(outs)
         cubes.append((care, value, ones, ~out_care & ((1 << m) - 1)))
 
     if n is None or m is None:
-        raise MissingHeader("missing .i/.o declarations")
+        raise QOracleError("missing .i/.o declarations")
     if declared_count is not None and declared_count != len(cubes):
-        raise WidthMismatch(f".p {declared_count} but {len(cubes)} cubes parsed")
+        raise QOracleError(f".p {declared_count} but {len(cubes)} cubes parsed")
     if ilb is not None and len(ilb) != n:
-        raise WidthMismatch(".ilb label count does not match .i")
+        raise QOracleError(".ilb label count does not match .i")
     if ob is not None and len(ob) != m:
-        raise WidthMismatch(".ob label count does not match .o")
+        raise QOracleError(".ob label count does not match .o")
     return PlaTable(n=n, m=m, cubes=cubes, kind=kind, input_labels=ilb, output_labels=ob)
 
 
@@ -230,13 +222,13 @@ def encode_integer_pairs(pairs: Sequence[tuple[int, int]]) -> PlaTable:
     still fit.
     """
     if not pairs:
-        raise WidthMismatch("at least one (domain, range) pair is required")
+        raise QOracleError("at least one (domain, range) pair is required")
     seen = set()
     for d, r in pairs:
         if min(d, r) < 0:
-            raise NegativeValue(f"negative value in the pair {d},{r}")
+            raise QOracleError(f"negative value in the pair {d},{r}")
         if d in seen:
-            raise DuplicateDomain(f"domain value {d} listed twice")
+            raise QOracleError(f"domain value {d} listed twice")
         seen.add(d)
     n = max(1, max(d for d, _ in pairs).bit_length())
     m = max(1, max(r for _, r in pairs).bit_length())

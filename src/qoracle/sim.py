@@ -10,7 +10,7 @@ import numpy as np
 from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit,
                       _from_msb_first, _qubits)
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
-from .errors import NonClassicalGate, RoleMismatch, TooWide
+from .errors import QOracleError, TooWide
 from .pla import SpecTable
 
 #: Hard cap for explicit 2^N statevector enumeration.
@@ -69,7 +69,7 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
     qubits: dict[int, list[int]] = {}
     for kind, target, pos, neg in circuit.gates:
         if kind not in CLASSICAL_KINDS:
-            raise NonClassicalGate(f"{kind} gate has no classical action")
+            raise QOracleError(f"{kind} gate has no classical action")
         fire = full
         if pos:
             qs = qubits.get(pos)
@@ -94,11 +94,11 @@ def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[
     ins = [q for q, r in enumerate(circuit.roles_in) if r == ROLE_INPUT]
     outs = [q for q, r in enumerate(circuit.roles_out) if r == ROLE_OUTPUT]
     if len(ins) != spec.n:
-        raise RoleMismatch(f"{len(ins)} input qubits for an n={spec.n} table")
+        raise QOracleError(f"{len(ins)} input qubits for an n={spec.n} table")
     if len(outs) != spec.m:
-        raise RoleMismatch(f"{len(outs)} output qubits for an m={spec.m} table")
+        raise QOracleError(f"{len(outs)} output qubits for an m={spec.m} table")
     if any(r not in (ROLE_INPUT, ROLE_ANCILLA) for r in circuit.roles_in):
-        raise RoleMismatch("input-side roles must be input or ancilla")
+        raise QOracleError("input-side roles must be input or ancilla")
     return ins, outs
 
 
@@ -196,7 +196,7 @@ def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
             sel = (idx & pos == pos) & (idx & neg == 0) & (idx & tbit != 0)
             amps[sel] *= -1.0
         else:
-            raise NonClassicalGate(f"statevector backend cannot apply {gate.kind}")
+            raise QOracleError(f"statevector backend cannot apply {gate.kind}")
     return StateVector(width, amps)
 
 

@@ -14,7 +14,7 @@ import time
 
 from .circuit import Circuit, _from_msb_first, _qubits, mcx
 from .embed import ReversibleSpec
-from .errors import GateLimitExceeded, NotBijective, SynthesisTimeout
+from .errors import GateLimitExceeded, QOracleError, SynthesisTimeout
 from .sim import _keep_bits, _transpose
 
 UNIDIRECTIONAL = "unidirectional"
@@ -93,7 +93,7 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
     if direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
     if not spec.is_bijection():
-        raise NotBijective("TBS needs a total bijection; complete the table first")
+        raise QOracleError("TBS needs a total bijection; complete the table first")
     width, size = spec.width, 1 << spec.width
     # Bit p of plane q is qubit q at position p, which starts as row p; values are qubit masks.
     rows = [y << width | x for x, y in enumerate(spec.perm.tolist())]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qoracle import circuit as circ
 from qoracle import sim
-from qoracle.errors import NotLowered
+from qoracle.errors import QOracleError
 
 from conftest import classical_circuits, control_masks, gate_controls, induced_permutation
 
@@ -182,7 +182,7 @@ def test_complexity_unit_costs():
 
 def test_complexity_requires_lowered():
     c = circ.Circuit(2, [circ.mcx(0, 0, 1 << 1)])
-    with pytest.raises(NotLowered):
+    with pytest.raises(QOracleError, match="complexity is defined on lowered circuits"):
         circ.complexity(c)
 
 

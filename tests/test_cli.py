@@ -12,7 +12,7 @@ import pytest
 
 import qoracle
 from qoracle import circuit as circ
-from qoracle import cli, emit, pla
+from qoracle import cli, emit, pla, sim
 from qoracle.cli import main
 
 from conftest import BENCH_DIR, cube
@@ -213,6 +213,19 @@ def test_run_synthesis_looks_stages_up_at_call_time(monkeypatch, method):
     assert calls == Counter(STAGES[method])
 
 
+def test_synth_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
+    failing = sim.VerificationReport(32, 32, [("00000", "000000", "000001")])
+    monkeypatch.setattr(sim, "verify_oracle", lambda *args: failing)
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "esop", "--out", str(tmp_path / "c.qasm"),
+    ]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "verification failed: 32/32 minterms checked: FAIL (1 mismatches)"]
+    assert captured.out == ""
+    assert not (tmp_path / "c.qasm").exists()
+
+
 def test_synth_too_large_exits_4(tmp_path):
     assert main([
         "synth", "--in", str(BENCH_DIR / "b11.pla"), "--method", "tbs",
@@ -347,23 +360,38 @@ def test_verify_malformed_netlist_gate_exits_2(tmp_path, capsys):
     at = next(i for i, g in enumerate(doc["gates"]) if g["controls"])
     gate = doc["gates"][at]
     (q0, pol0), rest = gate["controls"][0], gate["controls"][1:]
-    corruptions = {
-        "control-on-target": gate["controls"] + [[gate["target"], "+"]],
-        "qubit-twice": gate["controls"] + [[q0, pol0]],
-        "bad-polarity": [[q0, "n"]] + rest,
-        "negative-qubit": [[-1, pol0]] + rest,
-        "qubit-outside-width": [[width, pol0]] + rest,
-    }
-    for name, controls in corruptions.items():
+    free = next(q for q in range(width) if q != gate["target"]
+                and all(q != c for c, _ in gate["controls"]))
+
+    def with_gate(**fields):
         bad = json.loads(json.dumps(doc))
-        bad["gates"][at]["controls"] = controls
+        bad["gates"][at].update(fields)
+        return json.dumps(bad)
+
+    corruptions = {
+        "control-on-target": with_gate(controls=gate["controls"] + [[gate["target"], "+"]]),
+        "qubit-twice": with_gate(controls=gate["controls"] + [[q0, pol0]]),
+        "bad-polarity": with_gate(controls=[[q0, "n"]] + rest),
+        "negative-qubit": with_gate(controls=[[-1, pol0]] + rest),
+        "qubit-outside-width": with_gate(controls=[[width, pol0]] + rest),
+        # int() would read these as qubits; JSON true is a Python int.
+        "float-control": with_gate(controls=gate["controls"] + [[free + 0.7, "+"]]),
+        "string-control": with_gate(controls=gate["controls"] + [[str(free), "+"]]),
+        "bool-target": with_gate(target=True, controls=[]),
+        "float-target": with_gate(target=float(gate["target"])),
+        "bool-width": json.dumps({**doc, "width": True}),
+        "unknown-kind": with_gate(kind="foo"),
+        "list-provenance": json.dumps({**doc, "provenance": []}),
+        "deep-nesting": "[" * 100_000,
+    }
+    for name, text in corruptions.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(bad))
+        path.write_text(text)
         capsys.readouterr()
         assert main(["verify", "--in", SQUAR5, "--circuit", str(path)]) == 2, name
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), (name, err)
+        assert len(err) == 1 and err[0].startswith("error: bad circuit netlist:"), (name, err)
         assert "Traceback" not in captured.out + captured.err
 
 
@@ -472,10 +500,15 @@ def test_grover_rejects_shots_below_one(tmp_path, capsys, shots):
     assert not out.exists()
 
 
-def test_grover_needs_exactly_one_source(tmp_path):
-    assert main([
-        "grover", "--out", str(tmp_path / "h.csv"),
-    ]) == 2
+def test_grover_needs_exactly_one_source(tmp_path, capsys):
+    for sources in ([], ["--deck", "--pla", SQUAR5]):
+        assert main([
+            "grover", *sources, "--out", str(tmp_path / "h.csv"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "choose exactly one of --deck --query ... or --pla FILE"]
+        assert not (tmp_path / "h.csv").exists()
 
 
 def test_bench_parallel_jobs_match_serial(tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import embed, pla
-from qoracle.errors import TooWide, UnresolvedDontCare
+from qoracle.errors import QOracleError, SynthesisTimeout, TooWide
 
 
 def spec_of(n, m, mapping):
@@ -28,7 +29,7 @@ def test_multiplicity_injective_and_empty():
 
 def test_multiplicity_requires_resolution():
     spec = pla.SpecTable(1, 1, {0: (0, 1)})
-    with pytest.raises(UnresolvedDontCare):
+    with pytest.raises(QOracleError, match="resolve don't-care output bits first"):
         embed.max_output_multiplicity(spec)
 
 
@@ -135,6 +136,19 @@ def test_hamming_identity_when_sets_match():
     partial = _partial(2, {1: 1})
     total = embed.complete_onto_hamming(partial)
     assert total.perm.tolist() == [0, 1, 2, 3]
+
+
+def test_completion_deadline_stops_pass_two():
+    partial = _partial(3, {0: 0, 2: 1, 3: 2, 4: 4, 5: 5, 6: 7})  # leftover inputs 001, 111
+    past, future = time.monotonic() - 1, time.monotonic() + 60
+    with pytest.raises(SynthesisTimeout, match="completion gave up at leftover row 0 of 2"):
+        embed.complete_onto_hamming(partial, deadline=past)
+    total = embed.complete_onto_hamming(partial, deadline=future)
+    assert total.perm.tolist() == embed.complete_onto_hamming(partial).perm.tolist()
+    # Pass 1 and the naive pairing are single linear passes and do not check it.
+    matched = _partial(2, {1: 1})
+    assert embed.complete_onto_hamming(matched, deadline=past).perm.tolist() == [0, 1, 2, 3]
+    assert embed.complete_onto_naive(partial, deadline=past).is_bijection()
 
 
 def test_is_bijection_needs_every_row_once():

@@ -6,7 +6,7 @@ import pytest
 
 from qoracle import grover, pla, sim
 from qoracle.cli import run_synthesis
-from qoracle.errors import BadOracleShape, InvalidRank
+from qoracle.errors import QOracleError
 
 from conftest import cube
 
@@ -29,9 +29,9 @@ def test_card_query_suit_only():
 
 
 def test_card_query_invalid_rank():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(QOracleError, match="rank code 0000 is unused"):
         grover.card_query_to_pla(grover.CardQuery(rank=0))
-    with pytest.raises(InvalidRank):
+    with pytest.raises(QOracleError, match="rank code 1110 is unused"):
         grover.card_query_to_pla(grover.CardQuery(rank=0b1110))
     with pytest.raises(ValueError):
         grover.card_query_to_pla(grover.CardQuery())
@@ -41,7 +41,7 @@ def test_parse_query_strings():
     assert grover.parse_query("suit=diamonds,rank=10") == grover.CardQuery(0b10, 10)
     assert grover.parse_query("suit=clubs") == grover.CardQuery(0b00, None)
     assert grover.parse_query("rank=ace") == grover.CardQuery(None, 1)
-    with pytest.raises(InvalidRank):
+    with pytest.raises(QOracleError, match="unknown rank '15'"):
         grover.parse_query("rank=15")
     with pytest.raises(ValueError):
         grover.parse_query("suit=stars")
@@ -84,7 +84,8 @@ def test_build_grover_zero_iterations_is_uniform():
 def test_build_grover_rejects_bad_shape():
     table = pla.parse_pla(".i 2\n.o 2\n11 11\n.e")
     oracle = run_synthesis(table, "esop").circuit
-    with pytest.raises(BadOracleShape):
+    shape = "need a domain-preserving oracle with one trailing output qubit"
+    with pytest.raises(QOracleError, match=shape):
         grover.build_grover(oracle, 1)
 
 
