@@ -128,8 +128,11 @@ def lower_polarity(circuit: Circuit) -> Circuit:
     The inserted X pairs are tracked lazily per qubit, so consecutive gates
     sharing a negative control reuse one sandwich instead of cancelling
     X pairs back to back.  The result computes the same function and
-    contains positive controls only.
+    contains positive controls only; a circuit that has none to rewrite is
+    returned as it is.
     """
+    if not any(gate.neg for gate in circuit.gates):
+        return circuit
     flipped = 0
     out: list[Gate] = []
 
@@ -169,9 +172,12 @@ def lower_polarity(circuit: Circuit) -> Circuit:
 
 def complexity(circuit: Circuit) -> int:
     """Sum of per-gate costs, each the number of qubits the gate touches."""
-    if any(gate.neg for gate in circuit.gates):
-        raise QOracleError("complexity is defined on lowered circuits")
-    return sum(gate.cost for gate in circuit.gates)
+    total = len(circuit.gates)
+    for _, _, pos, neg in circuit.gates:
+        if neg:
+            raise QOracleError("complexity is defined on lowered circuits")
+        total += pos.bit_count()
+    return total
 
 
 def metrics(circuit: Circuit, elapsed_us: int) -> MetricsReport:

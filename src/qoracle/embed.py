@@ -169,9 +169,10 @@ def complete_onto_hamming(partial: ReversibleSpec, *,
 
     Pass 1 maps every unused input that is itself an unused output to
     itself; pass 2 gives the leftovers, in ascending order, the unused
-    output at minimal Hamming distance (ties to the smallest value).
-    ``deadline`` is a ``time.monotonic()`` value, checked every 256
-    leftover rows of pass 2; once it passes, ``SynthesisTimeout`` is raised.
+    output at minimal Hamming distance (ties to the smallest value), one
+    numpy scan over the remaining outputs per leftover.  ``deadline`` is a
+    ``time.monotonic()`` value, checked every 256 leftover rows of pass 2;
+    once it passes, ``SynthesisTimeout`` is raised.
     """
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
@@ -183,13 +184,16 @@ def complete_onto_hamming(partial: ReversibleSpec, *,
             out_set.remove(p)
         else:
             leftover_in.append(p)
-    remaining = sorted(out_set)
+    remaining = np.array(sorted(out_set), dtype=np.int64)
+    # Distances fit in 7 bits, so the top bit marks a taken output; argmin
+    # returns the first minimum, which is the smallest value.
+    taken = np.zeros(len(remaining), dtype=np.uint8)
     for i, p in enumerate(leftover_in):
         if not i % 256 and deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout(f"completion gave up at leftover row {i} of {len(leftover_in)}")
-        best = min(remaining, key=lambda q: ((p ^ q).bit_count(), q))
-        remaining.remove(best)
-        perm[p] = best
+        best = int((np.bitwise_count(remaining ^ p) | taken).argmin())
+        taken[best] = 0x80
+        perm[p] = remaining[best]
     return ReversibleSpec(partial.width, perm, partial.roles_in, partial.roles_out)
 
 

@@ -67,14 +67,18 @@ def to_json(circuit: Circuit) -> str:
 def from_json(text: str) -> Circuit:
     """Decode a JSON netlist; inverse of to_json.
 
-    The width and every qubit index must be JSON integers and every gate kind
-    one of the circuit kinds; anything else raises ``QOracleError``.
+    The width and every qubit index must be JSON integers, every gate kind
+    one of the circuit kinds, and ``roles`` one ``[input, output]`` pair per
+    qubit, checked before anything of the width's size is built; anything
+    else raises ``QOracleError``.
     """
     try:
         doc = json.loads(text)
         width = _integer(doc["width"], "width")
-        roles = doc.get("roles") or [["input", "output"]] * width
-        gates = [_gate(g, width) for g in doc["gates"]]
+        entries, roles = doc["gates"], doc["roles"]
+        if len(roles) != width:
+            raise ValueError(f"{len(roles)} role pairs for width {width}")
+        gates = [_gate(g, width) for g in entries]
         provenance = doc.get("provenance", {})
         return Circuit(
             width=width,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from .circuit import Circuit, _from_msb_first, _qubits, mcx
+from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, QOracleError, SynthesisTimeout
 from .sim import _keep_bits, _transpose
@@ -35,21 +35,31 @@ def _cost(value: int, row: int) -> tuple[int, int]:
 
 def _controls(planes: list[int], mask: int, full: int) -> int:
     """The positions where every plane in ``mask`` is set."""
-    for q in _qubits(mask):
-        full &= planes[q]
+    while mask:
+        low = mask & -mask
+        full &= planes[low.bit_length() - 1]
+        mask ^= low
     return full
 
 
 def _find(planes: list[int], value: int, full: int) -> int:
-    """The position whose planes spell ``value``."""
-    ones, zeros = full, 0
-    for plane in planes:
-        if value & 1:
-            ones &= plane
-        else:
-            zeros |= plane
-        value >>= 1
-    return (ones ^ ones & zeros).bit_length() - 1
+    """The position whose planes spell ``value``.
+
+    After a drop the next rows to fix sit in the lowest positions, behind only
+    the inert positions of skipped rows, so the search tries the lowest
+    2 * ``_DROP_EVERY`` positions first.  Every value sits at exactly one
+    position, so a hit there is the answer, and only a miss searches all of
+    ``full``.  Each step keeps the positions whose bit in one plane matches
+    ``value``, so it costs the length of the positions searched, not of the planes.
+    """
+    for among in (full & (1 << 2 * _DROP_EVERY) - 1, full):
+        bits = value
+        for plane in planes:
+            among = among & plane if bits & 1 else among ^ among & plane
+            bits >>= 1
+        if among:
+            break
+    return among.bit_length() - 1
 
 
 def _lowest(planes: list[int], among: int) -> int:
@@ -61,9 +71,10 @@ def _lowest(planes: list[int], among: int) -> int:
 
 def _read(planes: list[int], at: int) -> int:
     """The value the planes spell at position ``at``."""
-    value = 0
-    for plane in reversed(planes):
-        value = value << 1 | plane >> at & 1
+    bit, value = 1 << at, 0
+    for q, plane in enumerate(planes):
+        if plane & bit:
+            value |= 1 << q
     return value
 
 
@@ -72,15 +83,23 @@ def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> Non
     growing value, then clear extra bits under the row; append (target, controls) to ``gates``.
     """
     fire = _controls(planes, value, full)
-    for q in _qubits(row & ~value):
+    add = row & ~value
+    while add:
+        low = add & -add
+        q = low.bit_length() - 1
         planes[q] ^= fire
         gates.append((q, value))
         fire &= planes[q]
-        value |= 1 << q
+        value |= low
+        add ^= low
     fire = _controls(planes, row, full)
-    for q in _qubits(value & ~row):
+    drop = value & ~row
+    while drop:
+        low = drop & -drop
+        q = low.bit_length() - 1
         planes[q] ^= fire
         gates.append((q, row))
+        drop ^= low
 
 
 def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,

@@ -194,6 +194,18 @@ def test_complexity_is_reorder_invariant(c):
     assert circ.complexity(reordered) == circ.complexity(lowered)
 
 
+@settings(max_examples=100, deadline=None)
+@given(classical_circuits())
+def test_complexity_is_sum_of_gate_costs(c):
+    lowered = circ.lower_polarity(c)
+    assert circ.complexity(lowered) == sum(g.cost for g in lowered.gates)
+    if any(g.neg for g in c.gates):
+        with pytest.raises(QOracleError, match="complexity is defined on lowered circuits"):
+            circ.complexity(c)
+    else:
+        assert lowered.gates == c.gates
+
+
 def test_metrics_report():
     empty = circ.Circuit(3)
     report = circ.metrics(empty, elapsed_us=5)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import qoracle
 from qoracle import circuit as circ
-from qoracle import cli, emit, pla, sim
+from qoracle import cli, embed, emit, pla, sim, tbs
 from qoracle.cli import main
 
 from conftest import BENCH_DIR, cube
@@ -187,11 +188,13 @@ def test_run_synthesis_rejects_unknown_completion():
 
 
 STAGES = {
-    "esop": ("esop.sop_to_esop", "esop.minimize_esop", "sim.verify_oracle"),
+    "esop": ("esop.sop_to_esop", "esop.minimize_esop", "circuit.lower_polarity",
+             "sim.verify_oracle"),
     "esop-rtt": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
-                 "esop.spec_to_esop", "esop.minimize_esop", "sim.verify_oracle"),
+                 "esop.spec_to_esop", "esop.minimize_esop", "circuit.lower_polarity",
+                 "sim.verify_oracle"),
     "tbs": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
-            "tbs.tbs_synthesize", "sim.verify_oracle"),
+            "tbs.tbs_synthesize", "circuit.lower_polarity", "sim.verify_oracle"),
 }
 
 
@@ -211,6 +214,15 @@ def test_run_synthesis_looks_stages_up_at_call_time(monkeypatch, method):
         monkeypatch.setattr(module, attr, record)
     cli.run_synthesis(pla.parse_pla(Path(SQUAR5).read_text()), method)
     assert calls == Counter(STAGES[method])
+
+
+@pytest.mark.parametrize("name", ["squar5", "dist"])
+def test_tbs_result_keeps_raw_tbs_gates(name):
+    # TBS emits positive controls only, so lowering hands its circuit back as is.
+    table = pla.parse_pla((BENCH_DIR / f"{name}.pla").read_text())
+    partial, _ = embed.rtt_embed(embed.resolve_dontcares(pla.expand(table)))
+    raw = tbs.tbs_synthesize(embed.complete_onto_hamming(partial))
+    assert cli.run_synthesis(table, "tbs").circuit.gates == raw.gates
 
 
 def test_synth_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -389,6 +401,30 @@ def test_verify_malformed_netlist_gate_exits_2(tmp_path, capsys):
         path.write_text(text)
         capsys.readouterr()
         assert main(["verify", "--in", SQUAR5, "--circuit", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad circuit netlist:"), (name, err)
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_wide_netlist_refused_before_allocation(tmp_path, capsys):
+    # A few bytes must not make the reader build anything of the declared width.
+    texts = {
+        "no-roles": '{"width": 3000000, "gates": []}',
+        "short-roles": '{"width": 3000000, "gates": [], "roles": [["input", "output"]]}',
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--in", SQUAR5, "--circuit", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, name
+        assert peak < 4 << 20, (name, peak)
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad circuit netlist:"), (name, err)

@@ -151,6 +151,55 @@ def test_completion_deadline_stops_pass_two():
     assert embed.complete_onto_naive(partial, deadline=past).is_bijection()
 
 
+def reference_complete_onto_hamming(partial):
+    """Hamming completion on Python lists: ``min`` over the remaining outputs per leftover row."""
+    perm = partial.perm.copy()
+    unused_in = [p for p in range(1 << partial.width) if perm[p] == embed.UNSPECIFIED]
+    out_set = set(range(1 << partial.width)) - set(perm[perm != embed.UNSPECIFIED].tolist())
+    leftover_in = []
+    for p in unused_in:
+        if p in out_set:
+            perm[p] = p
+            out_set.remove(p)
+        else:
+            leftover_in.append(p)
+    remaining = sorted(out_set)
+    for p in leftover_in:
+        best = min(remaining, key=lambda q: ((p ^ q).bit_count(), q))
+        remaining.remove(best)
+        perm[p] = best
+    return perm
+
+
+def _holes(rng, width, free_in, free_out):
+    """A partial map leaving inputs ``free_in`` and outputs ``free_out`` unused."""
+    size = 1 << width
+    perm = np.full(size, embed.UNSPECIFIED, dtype=np.int64)
+    ins = np.setdiff1d(np.arange(size), free_in)
+    perm[ins] = rng.permutation(np.setdiff1d(np.arange(size), free_out))
+    return embed.ReversibleSpec(width, perm)
+
+
+@pytest.mark.parametrize("width", range(3, 13))
+def test_hamming_completion_matches_list_reference(width):
+    rng = np.random.default_rng(width)
+    size = 1 << width
+    weight = np.array([bin(v).count("1") for v in range(size)])
+    for _ in range(4):
+        holes = int(rng.integers(1, min(size, 300) + 1))
+        # Random holes, where pass 1 pairs the inputs that are also unused outputs.
+        scattered = _holes(rng, width, rng.choice(size, holes, replace=False),
+                           rng.choice(size, holes, replace=False))
+        # Tie-heavy: the unused outputs are all of one weight and no unused
+        # input is among them, so most leftovers have several nearest outputs.
+        ring = np.flatnonzero(weight == rng.integers(1, width))[:holes]
+        others = np.setdiff1d(np.arange(size), ring)
+        tied = _holes(rng, width, rng.choice(others, len(ring), replace=False), ring)
+        for partial in (scattered, tied):
+            total = embed.complete_onto_hamming(partial)
+            assert total.perm.tolist() == reference_complete_onto_hamming(partial).tolist()
+
+
 def test_is_bijection_needs_every_row_once():
     assert not _partial(2, {0: 1, 1: 0}).is_bijection()  # rows 2 and 3 unspecified
     assert not embed.ReversibleSpec(1, [0, 0]).is_bijection()
