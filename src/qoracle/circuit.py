@@ -47,11 +47,6 @@ class Gate(NamedTuple):
     pos: int = 0
     neg: int = 0
 
-    @property
-    def cost(self) -> int:
-        """Number of qubits the gate acts on (controls plus target)."""
-        return (self.pos | self.neg).bit_count() + 1
-
 
 def x(target: int) -> Gate:
     return Gate(KIND_X, target)

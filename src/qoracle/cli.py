@@ -9,7 +9,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
 
 from . import circuit as circ
 from . import embed, emit, esop, grover, pla, sim, tbs
@@ -19,6 +18,7 @@ from .errors import (
     SynthesisTimeout,
     TooWide,
     VerificationFailed,
+    check_deadline,
 )
 
 METHODS = ("esop", "esop-rtt", "tbs")
@@ -37,24 +37,6 @@ class SynthResult:
     report: circ.MetricsReport
     embedding: embed.EmbeddingReport | None
     verification: sim.VerificationReport
-
-
-def _reexpress(total: embed.ReversibleSpec, report: embed.EmbeddingReport,
-               n: int, m: int) -> pla.SpecTable:
-    """Rewrite a completed permutation as a fully specified (n+w)/(m+v) table."""
-    pad = report.n_total - m - report.v
-    entries = {x: (int(y) >> pad, 0) for x, y in enumerate(total.perm)}
-    return pla.SpecTable(n=n + report.w, m=m + report.v, entries=entries)
-
-
-def _embed(resolved: pla.SpecTable, completion: str,
-           deadline: float) -> tuple[embed.ReversibleSpec, embed.EmbeddingReport]:
-    """RTT-embed a resolved table and complete it onto a permutation."""
-    partial_spec, embedding = embed.rtt_embed(resolved)
-    # Looked up at call time, so a patched ``embed`` attribute is the one run.
-    total = getattr(embed, f"complete_onto_{completion}")(partial_spec, deadline=deadline)
-    embed.finish_report(embedding, partial_spec, total)
-    return total, embedding
 
 
 def run_synthesis(
@@ -82,12 +64,16 @@ def run_synthesis(
     started = time.monotonic()
     deadline = started + timeout_s
     spec = pla.expand(table, partial=partial)
+    check_deadline(deadline, "gave up after expansion")
     resolved = embedding = None
     if method != "esop" or dc_minimize:
         policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
         resolved = embed.resolve_dontcares(spec, policy)
     if method != "esop":
-        total, embedding = _embed(resolved, completion, deadline)
+        # Stages are looked up at call time, so a patched ``embed`` attribute is the one run.
+        partial_spec, embedding = embed.rtt_embed(resolved)
+        total = getattr(embed, f"complete_onto_{completion}")(partial_spec, deadline=deadline)
+        embed.finish_report(embedding, partial_spec, total)
 
     if method == "tbs":
         raw = tbs.tbs_synthesize(total, direction=direction, deadline=deadline)
@@ -95,7 +81,7 @@ def run_synthesis(
     else:
         if method == "esop-rtt":
             # The completed permutation's minterms are already a disjoint ESOP.
-            check_spec = _reexpress(total, embedding, table.n, table.m)
+            check_spec = embed.reexpress(total, embedding, table.m)
             cube_list = esop.spec_to_esop(check_spec)
         elif dc_minimize:
             check_spec, cube_list = spec, esop.spec_to_esop(resolved)
@@ -106,11 +92,13 @@ def run_synthesis(
         raw = esop.esop_to_circuit(cube_list, method=method)
         mode = sim.MODE_PRESERVE
     raw.source = source
+    check_deadline(deadline, "gave up after the %s backend", method)
 
     lowered = circ.lower_polarity(raw)
     elapsed_us = int((time.monotonic() - started) * 1e6)
     report = circ.metrics(lowered, elapsed_us)
 
+    check_deadline(deadline, "gave up before verification")
     verification = sim.verify_oracle(lowered, check_spec, mode)
     if not verification.passed:
         raise VerificationFailed(verification)
@@ -122,85 +110,23 @@ def run_synthesis(
 CSV_HEADER = "function,inputs,outputs,method,qubits,gate_count,complexity,time_us,status"
 
 
-@dataclass
-class BenchRow:
-    function: str
-    inputs: int
-    outputs: int
-    method: str
-    qubits: int | None
-    gate_count: int | None
-    complexity: int | None
-    time_us: int | None
-    status: str
+def bench_row(task: tuple[str, str, float, str]) -> list:
+    """The CSV fields of one (path, method, timeout_s, completion) bench task.
 
-    def as_csv(self) -> list[str]:
-        metric = lambda v: "" if v is None else str(v)
-        return [
-            self.function, str(self.inputs), str(self.outputs), self.method,
-            metric(self.qubits), metric(self.gate_count), metric(self.complexity),
-            metric(self.time_us), self.status,
-        ]
-
-
-def bench_one(
-    path: str,
-    method: str,
-    timeout_s: float,
-    completion: str,
-) -> BenchRow:
-    """Synthesize one benchmark with one method, mapping failures to a row."""
-    file = Path(path)
-    table = pla.parse_pla(file.read_text())
-    name = file.stem
+    A function too large or too slow for the method gets empty metric fields.
+    """
+    path, method, timeout_s, completion = task
+    name = Path(path).stem
+    table = pla.parse_pla(Path(path).read_text())
+    head = [name, table.n, table.m, method]
     try:
-        result = run_synthesis(
-            table,
-            method,
-            source=name,
-            completion=completion,
-            timeout_s=timeout_s,
-        )
+        r = run_synthesis(table, method, source=name, completion=completion,
+                          timeout_s=timeout_s).report
     except (TooWide, GateLimitExceeded):
-        return BenchRow(name, table.n, table.m, method, None, None, None, None, "too_large")
+        return head + [""] * 4 + ["too_large"]
     except SynthesisTimeout:
-        return BenchRow(name, table.n, table.m, method, None, None, None, None, "timeout")
-    report = result.report
-    return BenchRow(
-        name, table.n, table.m, method,
-        report.qubits, report.gate_count, report.complexity, report.time_us, "ok",
-    )
-
-
-def _bench_task(args: tuple[str, str, float, str]) -> BenchRow:
-    return bench_one(*args)
-
-
-def run_bench(
-    bench_dir: Path,
-    methods: list[str],
-    timeout_s: float,
-    jobs: int,
-    completion: str,
-) -> list[BenchRow]:
-    files = sorted(bench_dir.glob("*.pla"))
-    if not files:
-        raise FileNotFoundError(f"no .pla files under {bench_dir}")
-    tasks = [(str(f), m, timeout_s, completion) for f in files for m in methods]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_bench_task, tasks))
-    else:
-        rows = [_bench_task(t) for t in tasks]
-    rows.sort(key=lambda r: (r.function, r.method))
-    return rows
-
-
-def write_bench_csv(rows: list[BenchRow], fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(row.as_csv())
+        return head + [""] * 4 + ["timeout"]
+    return head + [r.qubits, r.gate_count, r.complexity, r.time_us, "ok"]
 
 
 # --- subcommand implementations ---------------------------------------------
@@ -257,12 +183,23 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"--methods must be a list of {', '.join(METHODS)}, got {m!r}")
+    files = sorted(bench_dir.glob("*.pla"))
+    if not files:
+        raise FileNotFoundError(f"no .pla files under {bench_dir}")
+    tasks = [(str(f), m, args.timeout_s, args.completion) for f in files for m in methods]
     # Opened first, so a bad path fails before the matrix is synthesized.
     with Path(args.csv).open("w", newline="") as fh:
-        rows = run_bench(bench_dir, methods, args.timeout_s, args.jobs, args.completion)
-        write_bench_csv(rows, fh)
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+                rows = list(pool.map(bench_row, tasks))
+        else:
+            rows = [bench_row(t) for t in tasks]
+        rows.sort(key=lambda row: (row[0], row[3]))  # function, method
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(rows)
     for row in rows:
-        print(",".join(row.as_csv()))
+        print(",".join(map(str, row)))
     return EXIT_OK
 
 

@@ -7,13 +7,12 @@ permutation on all 2^N bit patterns.
 """
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QOracleError, SynthesisTimeout, TooWide
+from .errors import QOracleError, TooWide, check_deadline
 from .pla import EXPANSION_LIMIT, SpecTable, _fill
 
 UNSPECIFIED = -1
@@ -139,6 +138,16 @@ def rtt_embed(spec: SpecTable) -> tuple[ReversibleSpec, EmbeddingReport]:
     return ReversibleSpec(n_total, perm, roles_in, roles_out), report
 
 
+def reexpress(total: ReversibleSpec, report: EmbeddingReport, m: int) -> SpecTable:
+    """A completed embedding as a fully specified (n+w)-input, (m+v)-output table.
+
+    Each row keeps the function outputs and counters and drops the pad garbage.
+    """
+    pad = report.n_total - m - report.v
+    entries = {x: (int(y) >> pad, 0) for x, y in enumerate(total.perm)}
+    return SpecTable(n=report.n_total, m=m + report.v, entries=entries)
+
+
 def _unused(partial: ReversibleSpec) -> tuple[list[int], list[int]]:
     size = 1 << partial.width
     unused_in = np.flatnonzero(partial.perm == UNSPECIFIED)
@@ -189,8 +198,9 @@ def complete_onto_hamming(partial: ReversibleSpec, *,
     # returns the first minimum, which is the smallest value.
     taken = np.zeros(len(remaining), dtype=np.uint8)
     for i, p in enumerate(leftover_in):
-        if not i % 256 and deadline is not None and time.monotonic() > deadline:
-            raise SynthesisTimeout(f"completion gave up at leftover row {i} of {len(leftover_in)}")
+        if not i % 256:
+            check_deadline(deadline, "completion gave up at leftover row %d of %d",
+                           i, len(leftover_in))
         best = int((np.bitwise_count(remaining ^ p) | taken).argmin())
         taken[best] = 0x80
         perm[p] = remaining[best]

@@ -18,20 +18,21 @@ one numpy argsort of every (live cube, bit pair) key, int64 while a key fits
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
-from .errors import SynthesisTimeout
+from .errors import check_deadline
 from .pla import PlaTable, SpecTable
 
 Row = tuple[int, int, int]
 
 #: Most minimization passes, each a distance-2 sweep over the changed columns.
 MAX_PASSES = 10
+
+_TIMEOUT = "ESOP minimization ran out of time"
 
 
 @dataclass
@@ -244,7 +245,7 @@ def _distance2_sweep(column: _ColumnSet, deadline: float | None) -> bool:
     changed = False
     for count, (id_a, id_b) in enumerate(_distance2_pairs(column)):
         if not count % 256:
-            _check_deadline(deadline)
+            check_deadline(deadline, _TIMEOUT)
         a, b = live.get(id_a), live.get(id_b)
         if a is None or b is None:
             continue
@@ -301,11 +302,6 @@ def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
     return list(zip(care[order].tolist(), value[order].tolist()))
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SynthesisTimeout("ESOP minimization ran out of time")
-
-
 def _column_cubes(cubes: EsopCubeList, deadline: float | None):
     """Yield each output column's cubes in row order, pairing minterm columns.
 
@@ -321,7 +317,7 @@ def _column_cubes(cubes: EsopCubeList, deadline: float | None):
     cube_masks = [row[:2] for row in rows]
     table = np.array(cube_masks, dtype=np.int64).reshape(-1, 2) if n <= _PAIR_MAX_N else None
     for j in range(m):
-        _check_deadline(deadline)
+        check_deadline(deadline, _TIMEOUT)
         index = np.flatnonzero(members[j])
         if table is not None and (table[index, 0] == (1 << n) - 1).all():
             yield _pair_minterms(table[index, 1], n)
@@ -340,7 +336,7 @@ def minimize_esop(cubes: EsopCubeList, deadline: float | None = None) -> EsopCub
     """
     columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes, deadline)]
     for _ in range(MAX_PASSES):
-        _check_deadline(deadline)
+        check_deadline(deadline, _TIMEOUT)
         if not any([_distance2_sweep(col, deadline) for col in columns if col.dirty]):
             break
     result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])

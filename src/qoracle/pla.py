@@ -207,13 +207,6 @@ def expand(table: PlaTable, *, partial: bool = False) -> SpecTable:
     return SpecTable(n=table.n, m=table.m, entries=entries)
 
 
-def table_from_spec(spec: SpecTable) -> PlaTable:
-    """Re-express a minterm table in cube form, one cube per entry."""
-    full = (1 << spec.n) - 1
-    cubes = [(full, x, *spec.entries[x]) for x in sorted(spec.entries)]
-    return PlaTable(n=spec.n, m=spec.m, cubes=cubes)
-
-
 def encode_integer_pairs(pairs: Sequence[tuple[int, int]]) -> PlaTable:
     """Encode non-negative (domain, range) integer rows as a fully specified table.
 

@@ -10,11 +10,9 @@ its control planes into its target plane in ``values`` (output side) or
 """
 from __future__ import annotations
 
-import time
-
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
-from .errors import GateLimitExceeded, QOracleError, SynthesisTimeout
+from .errors import GateLimitExceeded, QOracleError, check_deadline
 from .sim import _keep_bits, _transpose
 
 UNIDIRECTIONAL = "unidirectional"
@@ -141,8 +139,7 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
             at = _lowest(sources, moved)
             want, value = _read(sources, at), _read(values, at)
             row = _from_msb_first(want, width)
-        if deadline is not None and time.monotonic() > deadline:
-            raise SynthesisTimeout(f"gave up at row {row} of {size}")
+        check_deadline(deadline, "gave up at row %d of %d", row, size)
         planes, gates = values, out_gates
         if direction == BIDIRECTIONAL:
             at_in = _find(values, want, full)

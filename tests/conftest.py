@@ -27,6 +27,13 @@ def cube(inputs: str, outputs: str) -> pla.Row:
     return care, value, ones, ~out_care & ((1 << len(outputs)) - 1)
 
 
+def table_from_spec(spec: pla.SpecTable) -> pla.PlaTable:
+    """Re-express a minterm table in cube form, one cube per entry."""
+    full = (1 << spec.n) - 1
+    cubes = [(full, x, *spec.entries[x]) for x in sorted(spec.entries)]
+    return pla.PlaTable(n=spec.n, m=spec.m, cubes=cubes)
+
+
 @st.composite
 def pla_tables(draw, max_n: int = 5, max_m: int = 3, kind: str | None = None,
                max_cubes: int = 8):

@@ -8,9 +8,8 @@ import json
 import numpy as np
 
 from qoracle import embed, esop, pla
-from qoracle.cli import _reexpress
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, table_from_spec
 
 
 def load_manifest() -> dict:
@@ -62,8 +61,8 @@ def test_wide_expansion_cube_lists_match_completed_permutation(bench_tables):
     resolved = embed.resolve_dontcares(pla.expand(table))
     partial, report = embed.rtt_embed(resolved)
     total = embed.complete_onto_hamming(partial)
-    re_spec = _reexpress(total, report, table.n, table.m)
-    cubes = esop.minimize_esop(esop.sop_to_esop(pla.table_from_spec(re_spec)))
+    re_spec = embed.reexpress(total, report, table.m)
+    cubes = esop.minimize_esop(esop.sop_to_esop(table_from_spec(re_spec)))
     xs = np.arange(1 << re_spec.n)
     got = _evaluate_cubes(cubes, xs)
     want = np.array([re_spec.entries[int(x)][0] for x in xs])

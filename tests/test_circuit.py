@@ -198,7 +198,7 @@ def test_complexity_is_reorder_invariant(c):
 @given(classical_circuits())
 def test_complexity_is_sum_of_gate_costs(c):
     lowered = circ.lower_polarity(c)
-    assert circ.complexity(lowered) == sum(g.cost for g in lowered.gates)
+    assert circ.complexity(lowered) == sum((g.pos | g.neg).bit_count() + 1 for g in lowered.gates)
     if any(g.neg for g in c.gates):
         with pytest.raises(QOracleError, match="complexity is defined on lowered circuits"):
             circ.complexity(c)

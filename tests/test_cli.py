@@ -87,7 +87,7 @@ def test_bench_csv_directory_exits_2(tmp_path, capsys):
 
 def test_bench_csv_bad_path_fails_before_synthesis(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "run_bench", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(cli, "bench_row", lambda task: calls.append(task) or [])
     assert main([
         "bench", "--dir", str(BENCH_DIR), "--methods", "esop", "--csv", str(tmp_path),
     ]) == 2
@@ -110,6 +110,24 @@ def test_synth_fractional_timeout(tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("timeout:")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("method", [
+    ["--method", "esop"],
+    ["--method", "esop-rtt", "--completion", "naive"],
+], ids=["esop", "esop-rtt-naive"])
+def test_synth_timeout_bounds_unminimized_esop(tmp_path, capsys, method):
+    # No stage on these paths checks the deadline itself; run_synthesis does between stages.
+    out = tmp_path / "c.qasm"
+    assert main([
+        "synth", "--in", SQUAR5, *method, "--no-minimize", "--timeout-s", "1e-9",
+        "--out", str(out),
+    ]) == 4
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("timeout:")
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def _assert_usage_error(code, capsys, flag):
@@ -191,8 +209,8 @@ STAGES = {
     "esop": ("esop.sop_to_esop", "esop.minimize_esop", "circuit.lower_polarity",
              "sim.verify_oracle"),
     "esop-rtt": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
-                 "esop.spec_to_esop", "esop.minimize_esop", "circuit.lower_polarity",
-                 "sim.verify_oracle"),
+                 "embed.reexpress", "esop.spec_to_esop", "esop.minimize_esop",
+                 "circuit.lower_polarity", "sim.verify_oracle"),
     "tbs": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
             "tbs.tbs_synthesize", "circuit.lower_polarity", "sim.verify_oracle"),
 }

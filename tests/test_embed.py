@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import embed, pla
-from qoracle.errors import QOracleError, SynthesisTimeout, TooWide
+from qoracle.errors import QOracleError, SynthesisTimeout, TooWide, check_deadline
 
 
 def spec_of(n, m, mapping):
@@ -149,6 +149,15 @@ def test_completion_deadline_stops_pass_two():
     matched = _partial(2, {1: 1})
     assert embed.complete_onto_hamming(matched, deadline=past).perm.tolist() == [0, 1, 2, 3]
     assert embed.complete_onto_naive(partial, deadline=past).is_bijection()
+
+
+def test_check_deadline_formats_only_when_it_raises():
+    past, future = time.monotonic() - 1, time.monotonic() + 60
+    # "%d" % "x" would raise TypeError, so these two calls never format.
+    check_deadline(None, "%d", "x")
+    check_deadline(future, "%d", "x")
+    with pytest.raises(SynthesisTimeout, match="^gave up at row 3 of 8$"):
+        check_deadline(past, "gave up at row %d of %d", 3, 8)
 
 
 def reference_complete_onto_hamming(partial):

@@ -13,7 +13,8 @@ from qoracle import circuit as circ
 from qoracle import esop, pla, sim
 from qoracle.errors import SynthesisTimeout
 
-from conftest import as_cubes, cube, from_cubes, gate_controls, pla_tables
+from conftest import (as_cubes, cube, from_cubes, gate_controls, pla_tables,
+                      table_from_spec)
 
 
 def truth_table(cubes: esop.EsopCubeList) -> list[int]:
@@ -238,9 +239,9 @@ def test_spec_to_esop_matches_the_table_route(table, partial):
     # keep sop_to_esop's cube order, which the minimizer's cascade depends on.
     spec = pla.expand(table, partial=partial)
     direct = esop.spec_to_esop(spec)
-    assert direct == esop.sop_to_esop(pla.table_from_spec(spec))
+    assert direct == esop.sop_to_esop(table_from_spec(spec))
     assert esop.minimize_esop(direct) == esop.minimize_esop(
-        esop.sop_to_esop(pla.table_from_spec(spec)))
+        esop.sop_to_esop(table_from_spec(spec)))
 
 
 def xor_words(cubes: esop.EsopCubeList) -> np.ndarray:

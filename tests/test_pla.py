@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qoracle import pla
 from qoracle.errors import QOracleError, TooWide
 
-from conftest import cube, pla_tables
+from conftest import cube, pla_tables, table_from_spec
 
 
 def test_parse_single_cube_and():
@@ -229,5 +229,5 @@ def test_spec_roundtrip_partition(bench_tables):
     # Expanding and re-compacting covers the same ON/DC/OFF partition.
     table = bench_tables["squar5"]
     spec = pla.expand(table)
-    again = pla.expand(pla.table_from_spec(spec))
+    again = pla.expand(table_from_spec(spec))
     assert again.entries == spec.entries

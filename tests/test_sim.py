@@ -14,7 +14,7 @@ from qoracle import esop, pla, sim
 from qoracle.errors import QOracleError, TooWide
 
 from conftest import (classical_circuits, control_masks, from_cubes, gate_controls,
-                      induced_permutation)
+                      induced_permutation, table_from_spec)
 
 
 def ten_of_diamonds_oracle():
@@ -113,7 +113,7 @@ def test_cross_backend_oracle_agreement(data):
             min_size=1,
         )
     )
-    table = pla.table_from_spec(pla.SpecTable(n, m, entries))
+    table = table_from_spec(pla.SpecTable(n, m, entries))
     esop_result = run_synthesis(table, "esop", partial=True)
     tbs_result = run_synthesis(table, "tbs", partial=True)
     for result in (esop_result, tbs_result):
