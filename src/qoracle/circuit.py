@@ -105,13 +105,12 @@ class Circuit:
 
 @dataclass
 class MetricsReport:
-    """Synthesis result sizes plus wall time and completion status."""
+    """Synthesis result sizes plus wall time."""
 
     qubits: int
     gate_count: int
     complexity: int
     time_us: int
-    status: str = "ok"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"

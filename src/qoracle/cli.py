@@ -183,6 +183,8 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"--methods must be a list of {', '.join(METHODS)}, got {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"--methods must be a list of distinct methods, got {args.methods!r}")
     files = sorted(bench_dir.glob("*.pla"))
     if not files:
         raise FileNotFoundError(f"no .pla files under {bench_dir}")

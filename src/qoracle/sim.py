@@ -49,15 +49,6 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(bits.T, axis=1)]
 
 
-def _keep_bits(planes: list[int], keep: int, count: int) -> list[int]:
-    """Squeeze out of ``count``-bit planes the bits clear in ``keep``, in order."""
-    nbytes = (count + 7) // 8
-    raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in (keep, *planes)), np.uint8)
-    bits = np.unpackbits(raw.reshape(-1, nbytes), axis=1, bitorder="little")
-    kept = np.packbits(bits[1:, bits[0].astype(bool)], axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in kept]
-
-
 def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
     """Apply an X/MCX cascade to per-qubit bit-planes in place.
 

@@ -6,23 +6,21 @@ earlier rows; the collected cascade, reversed, realizes the permutation.  The
 table is bit-planes, one Python int per qubit with one bit per position, and
 the residual map sends ``sources[p]`` to ``values[p]``: a gate XORs the AND of
 its control planes into its target plane in ``values`` (output side) or
-``sources`` (input side).  Positions of fixed rows are dropped in bulk.
+``sources`` (input side).  No gate moves a position, and a fixed row keeps its
+position for the whole run: no later gate fires there.
 """
 from __future__ import annotations
 
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, QOracleError, check_deadline
-from .sim import _keep_bits, _transpose
+from .sim import _transpose
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
 
 #: Most gates one synthesis may emit before it gives up.
 GATE_LIMIT = 50_000
-
-#: Rows between two drops of the fixed rows' positions.
-_DROP_EVERY = 256
 
 
 def _cost(value: int, row: int) -> tuple[int, int]:
@@ -43,20 +41,13 @@ def _controls(planes: list[int], mask: int, full: int) -> int:
 def _find(planes: list[int], value: int, full: int) -> int:
     """The position whose planes spell ``value``.
 
-    After a drop the next rows to fix sit in the lowest positions, behind only
-    the inert positions of skipped rows, so the search tries the lowest
-    2 * ``_DROP_EVERY`` positions first.  Every value sits at exactly one
-    position, so a hit there is the answer, and only a miss searches all of
-    ``full``.  Each step keeps the positions whose bit in one plane matches
-    ``value``, so it costs the length of the positions searched, not of the planes.
+    Each step keeps the positions of ``full`` whose bit in one plane matches
+    ``value``; every value sits at exactly one position, so one is left.
     """
-    for among in (full & (1 << 2 * _DROP_EVERY) - 1, full):
-        bits = value
-        for plane in planes:
-            among = among & plane if bits & 1 else among ^ among & plane
-            bits >>= 1
-        if among:
-            break
+    among = full
+    for plane in planes:
+        among = among & plane if value & 1 else among ^ among & plane
+        value >>= 1
     return among.bit_length() - 1
 
 
@@ -116,21 +107,14 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
     rows = [y << width | x for x, y in enumerate(spec.perm.tolist())]
     planes = _transpose(rows[::-1], 2 * width)
     values, sources = planes[:width], planes[width:]
-    live = full = (1 << size) - 1  # live: the positions of rows that may still move
-    row, drop_at = 0, _DROP_EVERY
+    full, row = (1 << size) - 1, 0
     out_gates, in_gates = [], []
     while True:
-        if row >= drop_at:
-            planes = _keep_bits(values + sources, live, full.bit_length())
-            values, sources = planes[:width], planes[width:]
-            live = full = (1 << live.bit_count()) - 1
-            drop_at = row + _DROP_EVERY
         want = _from_msb_first(row, width)
         at = _find(sources, want, full)
         value = _read(values, at)
         if value == want:
-            # Skip to the lowest row still moved; skipped rows keep their inert positions.
-            live ^= 1 << at
+            # Skip to the lowest row still moved.
             moved = 0
             for v, s in zip(values, sources):
                 moved |= v ^ s
@@ -142,14 +126,12 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
         check_deadline(deadline, "gave up at row %d of %d", row, size)
         planes, gates = values, out_gates
         if direction == BIDIRECTIONAL:
-            at_in = _find(values, want, full)
-            source = _read(sources, at_in)
+            source = _read(sources, _find(values, want, full))
             if _cost(source, want) < _cost(value, want):
-                value, planes, gates, at = source, sources, in_gates, at_in
+                value, planes, gates = source, sources, in_gates
         if len(out_gates) + len(in_gates) + (value ^ want).bit_count() > GATE_LIMIT:
             raise GateLimitExceeded(f"over {GATE_LIMIT} gates at row {row} of {size}")
         _fix(planes, value, want, full, gates)
-        live ^= 1 << at
         row += 1
 
     gates = [mcx(q, pos) for q, pos in in_gates + out_gates[::-1]]

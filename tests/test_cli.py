@@ -38,7 +38,7 @@ def test_synth_squar5_methods(tmp_path, method, qubits):
     assert code == 0
     report = read_metrics(metrics)
     assert report["qubits"] == qubits
-    assert report["status"] == "ok"
+    assert set(report) == {"qubits", "gate_count", "complexity", "time_us"}
     assert out.read_text().startswith("OPENQASM 3.0;")
 
 
@@ -164,8 +164,10 @@ def test_bench_rejects_non_positive_timeout(tmp_path, capsys, value):
     (["--methods", ","], "--methods"),
     (["--methods", ",", "--jobs", "2"], "--methods"),
     (["--methods", "esop,foo"], "--methods"),
+    (["--methods", "esop,esop,tbs"], "--methods"),
     (["--dir", "/nonexistent-benchmark-dir"], "--dir"),
-], ids=["negative-jobs", "no-method", "no-method-parallel", "unknown-method", "missing-dir"])
+], ids=["negative-jobs", "no-method", "no-method-parallel", "unknown-method", "repeated-method",
+        "missing-dir"])
 def test_bench_rejects_bad_jobs_and_methods(tmp_path, capsys, extra, flag):
     code = main([
         "bench", "--dir", str(BENCH_DIR), "--csv", str(tmp_path / "r.csv"), *extra,

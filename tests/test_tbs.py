@@ -153,7 +153,7 @@ def test_matches_list_reference(perm, bidirectional):
 @pytest.mark.parametrize("width,seed", [(10, 10), (11, 11)])
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_wide_permutations_match_list_reference(width, seed, bidirectional):
-    # Wide enough that the planes drop fixed rows several times.
+    # Wide enough that most rows are found behind many fixed rows' positions.
     perm = np.random.default_rng(seed).permutation(1 << width).tolist()
     direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
     c = synth(perm, direction)
@@ -163,8 +163,8 @@ def test_wide_permutations_match_list_reference(width, seed, bidirectional):
 
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_mostly_fixed_permutation_matches_list_reference(bidirectional):
-    # Runs of fixed rows between shuffled blocks, on both sides of the
-    # points where the planes drop fixed rows.
+    # Runs of fixed rows between shuffled blocks, so the walk skips to the
+    # lowest moved row many times and every fixed row keeps its position.
     rng = np.random.default_rng(12)
     perm = list(range(1 << 10))
     for start, stop in ((3, 9), (250, 262), (300, 340), (511, 520), (900, 1024)):
@@ -178,7 +178,7 @@ def test_mostly_fixed_permutation_matches_list_reference(bidirectional):
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_row_zero_uncontrolled_x_before_dropping_rows(bidirectional):
     # Row 0 maps to all ones, so every fix for it is an uncontrolled X, and
-    # 512 rows run past the first time the planes drop fixed rows.
+    # all 512 rows run with the fixed rows' positions kept in the planes.
     perm = np.random.default_rng(9).permutation(512).tolist()
     top = perm.index(511)
     perm[0], perm[top] = perm[top], perm[0]
@@ -187,6 +187,14 @@ def test_row_zero_uncontrolled_x_before_dropping_rows(bidirectional):
     assert any(g.kind == circ.KIND_X for g in c.gates)
     assert c.gates == reference_tbs(perm, 9, bidirectional)
     assert induced_permutation(c) == perm
+
+
+@pytest.mark.parametrize("direction,row", [(tbs.UNIDIRECTIONAL, 6598), (tbs.BIDIRECTIONAL, 7989)])
+def test_dense_width_15_permutation_hits_gate_limit_at_pinned_row(direction, row):
+    # A dense table built without an RNG: an odd multiplier, then an xorshift.
+    y = (0x9E37 * np.arange(1 << 15, dtype=np.int64) + 0x1D) % (1 << 15)
+    with pytest.raises(GateLimitExceeded, match=f"at row {row} of 32768"):
+        tbs.tbs_synthesize(make_spec(15, y ^ (y >> 7)), direction=direction)
 
 
 def test_sixteen_qubit_last_pair_swap_is_one_gate():
