@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 
-from .circuit import KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, Gate, _qubits
+from .circuit import KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, Gate
 from .errors import QOracleError
 
 #: Netlist spelling of a control's polarity.
@@ -14,29 +14,44 @@ _SIMPLE = {KIND_X: "x", KIND_H: "h", KIND_Z: "z"}
 _CONTROLLED = {KIND_MCX: "x", KIND_MCZ: "z"}
 
 
+class _Rendered(dict):
+    """A cache that renders a missing key's text once, on first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 def to_qasm(circuit: Circuit) -> str:
     """Emit OPENQASM 3.0 with ctrl(k) modifiers for multi-control gates.
 
     Requires a lowered circuit: negative controls have no direct QASM
-    spelling here and must be rewritten as X sandwiches first.  Each
-    distinct control mask renders its ``ctrl(k) @ ...`` prefix once.
+    spelling here and must be rewritten as X sandwiches first.  A gate's
+    line is its kind's head for its control count (``ctrl(k) @ x ``), its
+    control mask's operands and its target's ``q[i];``, each rendered once
+    per call.  A mask's operands are those of the mask without its top
+    qubit, then that qubit's ``q[i], ``.
     """
-    lines = ["OPENQASM 3.0;", f"qubit[{circuit.width}] q;"]
-    prefixes: dict[tuple[str, int], str] = {}
+    width = circuit.width
+    operands = [f"q[{q}], " for q in range(width)]
+    ends = [f"q[{q}];" for q in range(width)]
+    texts = _Rendered(lambda pos: texts[pos ^ 1 << pos.bit_length() - 1]
+                      + operands[pos.bit_length() - 1])
+    texts[0] = ""
+    heads = {kind: [f"{name} "] for kind, name in _SIMPLE.items()}
+    heads.update((kind, [f"ctrl({k}) @ {name} " for k in range(width + 1)])
+                 for kind, name in _CONTROLLED.items())
+    lines = ["OPENQASM 3.0;", f"qubit[{width}] q;"]
     for kind, target, pos, neg in circuit.gates:
         if neg:
             raise QOracleError("lower the circuit before QASM emission")
-        if kind in _SIMPLE:
-            lines.append(f"{_SIMPLE[kind]} q[{target}];")
-            continue
-        prefix = prefixes.get((kind, pos))
-        if prefix is None:
-            operands = "".join(f"q[{q}], " for q in _qubits(pos))
-            prefix = f"ctrl({pos.bit_count()}) @ {_CONTROLLED[kind]} {operands}"
-            prefixes[kind, pos] = prefix
-        lines.append(f"{prefix}q[{target}];")
+        lines.append(f"{heads[kind][pos.bit_count()]}{texts[pos]}{ends[target]}")
     lines.append("// qubit roles (input -> output):")
-    for q in range(circuit.width):
+    for q in range(width):
         lines.append(f"// q[{q}]: {circuit.roles_in[q]} -> {circuit.roles_out[q]}")
     return "\n".join(lines) + "\n"
 
@@ -44,24 +59,32 @@ def to_qasm(circuit: Circuit) -> str:
 def to_json(circuit: Circuit) -> str:
     """Serialize to the JSON netlist, gates in execution order.
 
-    Gates with the same kind and control masks differ only in their target,
-    so each such group is rendered once and the gates are joined as text,
-    in the bytes ``json.dumps`` writes for the whole document.
+    A gate is its kind's head, its target's text and its control pairs,
+    each rendered once per call and joined as text, in the bytes
+    ``json.dumps`` writes for the whole document.  The control masks are
+    keyed as ``neg << width | pos``, and a key's pairs are those of the key
+    without its top qubit, then that qubit's.
     """
-    parts: dict[tuple[str, int, int], tuple[str, str]] = {}
-    gates = []
-    for kind, target, pos, neg in circuit.gates:
-        part = parts.get((kind, pos, neg))
-        if part is None:
-            controls = ", ".join(f'[{q}, "{POSITIVE if pos >> q & 1 else NEGATIVE}"]'
-                                 for q in _qubits(pos | neg))
-            part = parts[kind, pos, neg] = (f'{{"kind": {json.dumps(kind)}, "target": ',
-                                            f', "controls": [{controls}]}}')
-        gates.append(f"{part[0]}{target}{part[1]}")
-    roles = [[circuit.roles_in[q], circuit.roles_out[q]] for q in range(circuit.width)]
-    head = json.dumps({"width": circuit.width, "roles": roles})
-    tail = json.dumps({"provenance": {"source": circuit.source, "method": circuit.method}})
-    return f'{head[:-1]}, "gates": [{", ".join(gates)}], {tail[1:]}\n'
+    width = circuit.width
+    positive = [f'[{q}, "{POSITIVE}"]' for q in range(width)]
+    negative = [f'[{q}, "{NEGATIVE}"]' for q in range(width)]
+    targets = [f'{q}, "controls": [' for q in range(width)]
+
+    def pairs(key):
+        q = ((key | key >> width) & ~(-1 << width)).bit_length() - 1
+        rest = key & ~(1 << q | 1 << q + width)
+        pair = positive[q] if key >> q & 1 else negative[q]
+        return f"{texts[rest]}, {pair}" if rest else pair
+
+    texts = _Rendered(pairs)
+    texts[0] = ""
+    heads = _Rendered(lambda kind: f'{{"kind": {json.dumps(kind)}, "target": ')
+    gates = [f"{heads[kind]}{targets[target]}{texts[neg << width | pos]}]}}"
+             for kind, target, pos, neg in circuit.gates]
+    roles = [[circuit.roles_in[q], circuit.roles_out[q]] for q in range(width)]
+    head = json.dumps({"width": width, "roles": roles})
+    end = json.dumps({"provenance": {"source": circuit.source, "method": circuit.method}})
+    return f'{head[:-1]}, "gates": [{", ".join(gates)}], {end[1:]}\n'
 
 
 def from_json(text: str) -> Circuit:

@@ -6,21 +6,39 @@ earlier rows; the collected cascade, reversed, realizes the permutation.  The
 table is bit-planes, one Python int per qubit with one bit per position, and
 the residual map sends ``sources[p]`` to ``values[p]``: a gate XORs the AND of
 its control planes into its target plane in ``values`` (output side) or
-``sources`` (input side).  No gate moves a position, and a fixed row keeps its
-position for the whole run: no later gate fires there.
+``sources`` (input side).  No gate moves a position, and no later gate fires
+at a fixed row's position.
+
+A unidirectional run never touches ``sources``, so row r sits at position r
+and is read there without a search.  The rows below it are fixed; once
+``_SHIFT_AT`` of them have gathered, every plane is shifted right past them,
+so later gates no longer walk over them.  A bidirectional run keeps every
+position and searches the planes for each row and for its preimage.  The
+planes are built from the permutation array with numpy, one plane at a time.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, QOracleError, check_deadline
-from .sim import _transpose
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
 
 #: Most gates one synthesis may emit before it gives up.
 GATE_LIMIT = 50_000
+
+#: Fixed rows a unidirectional run lets gather below the current row before
+#: it shifts them out of the planes.
+_SHIFT_AT = 64
+
+
+def _planes(column: np.ndarray, width: int) -> list[int]:
+    """Bit-planes of ``column``: bit p of plane q is bit ``width - 1 - q`` of ``column[p]``."""
+    return [int.from_bytes(np.packbits(column & (1 << k), bitorder="little").tobytes(), "little")
+            for k in reversed(range(width))]
 
 
 def _cost(value: int, row: int) -> tuple[int, int]:
@@ -58,12 +76,21 @@ def _lowest(planes: list[int], among: int) -> int:
     return among.bit_length() - 1
 
 
-def _read(planes: list[int], at: int) -> int:
-    """The value the planes spell at position ``at``."""
-    bit, value = 1 << at, 0
-    for q, plane in enumerate(planes):
-        if plane & bit:
-            value |= 1 << q
+def _read(planes: list[int], at: int, full: int) -> int:
+    """The value the planes spell at position ``at`` of the ``full`` positions.
+
+    ``plane & (1 << at)`` costs O(at) and ``plane >> at`` costs O(size - at),
+    so the read works from the nearer end of the planes.
+    """
+    value = 0
+    if at < full.bit_length() >> 1:
+        bit = 1 << at
+        for q, plane in enumerate(planes):
+            if plane & bit:
+                value |= 1 << q
+    else:
+        for q, plane in enumerate(planes):
+            value |= (plane >> at & 1) << q
     return value
 
 
@@ -71,8 +98,9 @@ def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> Non
     """Turn ``value`` into ``row``, in ascending qubit order: set missing bits under the
     growing value, then clear extra bits under the row; append (target, controls) to ``gates``.
     """
-    fire = _controls(planes, value, full)
     add = row & ~value
+    if add:
+        fire = _controls(planes, value, full)
     while add:
         low = add & -add
         q = low.bit_length() - 1
@@ -81,8 +109,9 @@ def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> Non
         fire &= planes[q]
         value |= low
         add ^= low
-    fire = _controls(planes, row, full)
     drop = value & ~row
+    if drop:
+        fire = _controls(planes, row, full)
     while drop:
         low = drop & -drop
         q = low.bit_length() - 1
@@ -104,15 +133,21 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
         raise QOracleError("TBS needs a total bijection; complete the table first")
     width, size = spec.width, 1 << spec.width
     # Bit p of plane q is qubit q at position p, which starts as row p; values are qubit masks.
-    rows = [y << width | x for x, y in enumerate(spec.perm.tolist())]
-    planes = _transpose(rows[::-1], 2 * width)
-    values, sources = planes[:width], planes[width:]
-    full, row = (1 << size) - 1, 0
+    values, sources = _planes(spec.perm, width), _planes(np.arange(size), width)
+    unidirectional = direction == UNIDIRECTIONAL
+    # Positions are relative to ``base``, which only a unidirectional run moves;
+    # ``want`` is ``row`` as a qubit mask.
+    full, row, base, want = (1 << size) - 1, 0, 0, 0
     out_gates, in_gates = [], []
     while True:
-        want = _from_msb_first(row, width)
-        at = _find(sources, want, full)
-        value = _read(values, at)
+        if unidirectional and row - base >= _SHIFT_AT:
+            # Every position below ``row`` holds a fixed row, where no later gate fires.
+            shift, base = row - base, row
+            values = [plane >> shift for plane in values]
+            sources = [plane >> shift for plane in sources]
+            full >>= shift
+        at = row - base if unidirectional else _find(sources, want, full)
+        value = _read(values, at, full)
         if value == want:
             # Skip to the lowest row still moved.
             moved = 0
@@ -121,18 +156,23 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
             if not moved:
                 break
             at = _lowest(sources, moved)
-            want, value = _read(sources, at), _read(values, at)
+            want, value = _read(sources, at, full), _read(values, at, full)
             row = _from_msb_first(want, width)
         check_deadline(deadline, "gave up at row %d of %d", row, size)
         planes, gates = values, out_gates
-        if direction == BIDIRECTIONAL:
-            source = _read(sources, _find(values, want, full))
+        if not unidirectional:
+            source = _read(sources, _find(values, want, full), full)
             if _cost(source, want) < _cost(value, want):
                 value, planes, gates = source, sources, in_gates
         if len(out_gates) + len(in_gates) + (value ^ want).bit_count() > GATE_LIMIT:
             raise GateLimitExceeded(f"over {GATE_LIMIT} gates at row {row} of {size}")
         _fix(planes, value, want, full, gates)
-        row += 1
+        # Add one to ``want`` at qubit width - 1 (the row's low bit), carrying towards qubit 0.
+        row, bit = row + 1, size >> 1
+        while want & bit:
+            want ^= bit
+            bit >>= 1
+        want |= bit
 
     gates = [mcx(q, pos) for q, pos in in_gates + out_gates[::-1]]
     return Circuit(width=width, gates=gates, roles_in=spec.roles_in, roles_out=spec.roles_out,

@@ -1,8 +1,11 @@
 """Serialization: QASM text and the JSON netlist round trip."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoracle import circuit as circ
 from qoracle import emit, esop
@@ -83,3 +86,65 @@ def test_qasm_order_matches_ir():
     c = circ.Circuit(3, gates)
     lines = [l for l in emit.to_qasm(c).splitlines()[2:] if not l.startswith("//")]
     assert lines == ["x q[0];", "ctrl(1) @ x q[0], q[2];", "x q[1];"]
+
+
+@st.composite
+def circuits_of_every_kind(draw, max_width: int = 70, max_gates: int = 12):
+    """Circuits of x, h, z, mcx and mcz gates with mixed-polarity controls."""
+    width = draw(st.integers(1, max_width))
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        target = draw(st.integers(0, width - 1))
+        kind = draw(st.sampled_from([circ.KIND_X, circ.KIND_H, circ.KIND_Z,
+                                     circ.KIND_MCX, circ.KIND_MCZ]))
+        if kind in (circ.KIND_X, circ.KIND_H, circ.KIND_Z):
+            gates.append(circ.Gate(kind, target))
+            continue
+        others = [q for q in range(width) if q != target]
+        if not others:
+            continue
+        controls = draw(st.lists(st.sampled_from(others), min_size=1,
+                                 max_size=min(5, len(others)), unique=True))
+        pos = neg = 0
+        for q in controls:
+            if draw(st.booleans()):
+                pos |= 1 << q
+            else:
+                neg |= 1 << q
+        gates.append(circ.Gate(kind, target, pos, neg))
+    return circ.Circuit(width, gates, source=draw(st.text(max_size=8)),
+                        method=draw(st.text(max_size=8)))
+
+
+def qasm_reference(c):
+    """QASM of a lowered circuit, one gate at a time with nothing cached."""
+    names = {circ.KIND_X: "x", circ.KIND_MCX: "x", circ.KIND_H: "h",
+             circ.KIND_Z: "z", circ.KIND_MCZ: "z"}
+    lines = ["OPENQASM 3.0;", f"qubit[{c.width}] q;"]
+    for g in c.gates:
+        qubits = [q for q in range(c.width) if g.pos >> q & 1] + [g.target]
+        modifier = f"ctrl({len(qubits) - 1}) @ " if len(qubits) > 1 else ""
+        lines.append(f"{modifier}{names[g.kind]} " + ", ".join(f"q[{q}]" for q in qubits) + ";")
+    lines.append("// qubit roles (input -> output):")
+    lines += [f"// q[{q}]: {c.roles_in[q]} -> {c.roles_out[q]}" for q in range(c.width)]
+    return "\n".join(lines) + "\n"
+
+
+def json_reference(c):
+    """The documented netlist, written by json.dumps in one call."""
+    gates = [{"kind": g.kind, "target": g.target,
+              "controls": [[q, "+" if g.pos >> q & 1 else "-"]
+                           for q in range(c.width) if (g.pos | g.neg) >> q & 1]}
+             for g in c.gates]
+    doc = {"width": c.width, "roles": [list(pair) for pair in zip(c.roles_in, c.roles_out)],
+           "gates": gates, "provenance": {"source": c.source, "method": c.method}}
+    return json.dumps(doc) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits_of_every_kind())
+def test_emitters_match_per_gate_references(c):
+    assert emit.to_json(c) == json_reference(c)
+    lowered = circ.lower_polarity(c)
+    assert emit.to_qasm(lowered) == qasm_reference(lowered)
+    assert emit.to_json(lowered) == json_reference(lowered)

@@ -189,6 +189,71 @@ def test_row_zero_uncontrolled_x_before_dropping_rows(bidirectional):
     assert induced_permutation(c) == perm
 
 
+@pytest.mark.parametrize("width", [8, 9, 10])
+@pytest.mark.parametrize("first", [64, 200])
+def test_unidirectional_shift_points_match_list_reference(width, first):
+    # Rows below ``first`` are fixed, so the first skip lands on row 64, the
+    # first point where the fixed rows are shifted out of the planes, or on
+    # row 200, past three such points at once; the later shuffled blocks
+    # straddle multiples of 256.
+    rng = np.random.default_rng(width)
+    size = 1 << width
+    perm = list(range(size))
+    blocks = [(first, first + 8)] + [(s - 4, s + 4) for s in range(256, size, 256)]
+    for start, stop in blocks + [(size - 4, size)]:
+        perm[start:stop] = rng.permutation(perm[start:stop]).tolist()
+        if perm[start] == start:
+            perm[start], perm[start + 1] = perm[start + 1], perm[start]
+    c = synth(perm)
+    assert c.gates == reference_tbs(perm, width, False)
+    assert induced_permutation(c) == perm
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_only_bidirectional_runs_search_for_rows(monkeypatch, bidirectional):
+    # Unidirectional runs read row r at its own position, so never call _find.
+    perm = np.random.default_rng(6).permutation(256).tolist()
+    expected = reference_tbs(perm, 8, bidirectional)
+
+    def no_search(*args):
+        raise AssertionError("searched the planes")
+
+    monkeypatch.setattr(tbs, "_find", no_search)
+    direction = tbs.BIDIRECTIONAL if bidirectional else tbs.UNIDIRECTIONAL
+    if bidirectional:
+        with pytest.raises(AssertionError, match="searched the planes"):
+            synth(perm, direction)
+    else:
+        assert synth(perm, direction).gates == expected
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_planes_match_bitwise_reference(width):
+    # Bit p of plane q is bit width - 1 - q of the value at position p; widths 0 and 1 included.
+    perm = np.random.default_rng(width).permutation(1 << width)
+    planes = tbs._planes(perm, width)
+    assert len(planes) == width
+    for q, plane in enumerate(planes):
+        assert plane == sum((int(y) >> (width - 1 - q) & 1) << p for p, y in enumerate(perm))
+
+
+def test_widths_zero_and_one():
+    assert synth([0]).gates == []
+    assert synth([0, 1]).gates == []
+    assert synth([1, 0]).gates == [circ.x(0)]
+    assert synth([1, 0], tbs.BIDIRECTIONAL).gates == [circ.x(0)]
+
+
+def test_read_matches_bitwise_reference_at_both_ends():
+    width, size = 12, 1 << 12
+    perm = np.random.default_rng(8).permutation(size)
+    planes, full = tbs._planes(perm, width), (1 << size) - 1
+    for at in (0, 1, size // 2 - 1, size // 2, size - 1):
+        bits = [format(plane, f"0{size}b")[size - 1 - at] for plane in planes]
+        assert tbs._read(planes, at, full) == sum(1 << q for q, b in enumerate(bits) if b == "1")
+        assert tbs._read(planes, at, full) == circ._from_msb_first(int(perm[at]), width)
+
+
 @pytest.mark.parametrize("direction,row", [(tbs.UNIDIRECTIONAL, 6598), (tbs.BIDIRECTIONAL, 7989)])
 def test_dense_width_15_permutation_hits_gate_limit_at_pinned_row(direction, row):
     # A dense table built without an RNG: an odd multiplier, then an xorshift.
