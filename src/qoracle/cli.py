@@ -232,8 +232,7 @@ def _cmd_grover(args) -> int:
     if table.m != 1:
         print("search predicates need exactly one output", file=sys.stderr)
         return EXIT_USAGE
-    spec = pla.expand(table)
-    marked = [x for x, (value, _) in sorted(spec.entries.items()) if value == 1]
+    marked = [x for x, value in enumerate(pla.expand(table).entries.tolist()) if value == 1]
     if not marked:
         print("the predicate marks no states; nothing to search", file=sys.stderr)
         return EXIT_USAGE

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QOracleError, TooWide, check_deadline
-from .pla import EXPANSION_LIMIT, SpecTable, _fill
-
-UNSPECIFIED = -1
+from .pla import EXPANSION_LIMIT, UNSPECIFIED, SpecTable, _fill
 
 RESOLVE_ZEROS = "zeros"
 RESOLVE_MIN_DUPLICATION = "min-duplication"
@@ -66,40 +64,35 @@ def max_output_multiplicity(spec: SpecTable) -> int:
     """Largest number of specified minterms sharing one output pattern."""
     if spec.has_dontcares():
         raise QOracleError("resolve don't-care output bits first")
-    if not spec.entries:
-        return 0
-    counts = Counter(value for value, _ in spec.entries.values())
-    return max(counts.values())
+    values = spec.entries[spec.entries != UNSPECIFIED]
+    return int(np.unique(values, return_counts=True)[1].max()) if len(values) else 0
 
 
 def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable:
     """Assign every don't-care output bit.
 
-    ``zeros`` clears them; ``min-duplication`` walks rows in ascending
-    minterm order and gives each one the completion whose pattern currently
-    has the lowest multiplicity, ties toward the all-zero assignment.
+    ``zeros`` clears them; ``min-duplication`` walks the rows with
+    don't-cares in ascending minterm order and gives each one the completion
+    whose pattern currently has the lowest multiplicity, ties toward the
+    all-zero assignment.  Completions come in ascending order, so the first
+    pattern not yet used wins outright; only a row whose every completion is
+    taken compares them all.
     """
     if policy not in (RESOLVE_ZEROS, RESOLVE_MIN_DUPLICATION):
         raise ValueError(f"unknown policy {policy!r}")
     if not spec.has_dontcares():
         return spec
-    entries: dict[int, tuple[int, int]] = {}
-    if policy == RESOLVE_ZEROS:
-        for x, (value, _) in spec.entries.items():
-            entries[x] = (value, 0)
-        return SpecTable(n=spec.n, m=spec.m, entries=entries)
-    counts = Counter(
-        value for value, dc in spec.entries.values() if dc == 0
-    )
-    for x in sorted(spec.entries):
-        value, dc = spec.entries[x]
-        if dc == 0:
-            entries[x] = (value, 0)
-            continue
-        chosen = min(_fill(value, dc), key=lambda c: (counts[c], c))
-        counts[chosen] += 1
-        entries[x] = (chosen, 0)
-    return SpecTable(n=spec.n, m=spec.m, entries=entries)
+    entries = spec.entries.copy()
+    if policy == RESOLVE_MIN_DUPLICATION:
+        rows = np.flatnonzero(spec.dc)
+        counts = Counter(spec.entries[(spec.dc == 0) & (spec.entries != UNSPECIFIED)].tolist())
+        for x, value, dc in zip(rows.tolist(), entries[rows].tolist(), spec.dc[rows].tolist()):
+            chosen = next((c for c in _fill(value, dc) if not counts[c]), None)
+            if chosen is None:
+                chosen = min(_fill(value, dc), key=lambda c: (counts[c], c))
+            counts[chosen] += 1
+            entries[x] = chosen
+    return SpecTable(spec.n, spec.m, entries, np.zeros_like(spec.dc))
 
 
 def rtt_embed(spec: SpecTable) -> tuple[ReversibleSpec, EmbeddingReport]:
@@ -121,20 +114,18 @@ def rtt_embed(spec: SpecTable) -> tuple[ReversibleSpec, EmbeddingReport]:
             f"embedding needs {n_total} bits, over the expansion limit of {EXPANSION_LIMIT}"
         )
     pad = n_total - spec.m - v
+    xs = spec.specified()
+    values = spec.entries[xs]
+    # A stable sort by value keeps each value's minterms ascending, so g is a
+    # minterm's place in the sorted order minus the place of its value's first.
+    order = np.argsort(values, kind="stable")
+    xs, values = xs[order], values[order]
+    g = np.arange(len(xs)) - np.searchsorted(values, values)
     perm = np.full(1 << n_total, UNSPECIFIED, dtype=np.int64)
-    next_g: Counter[int] = Counter()
-    for x in sorted(spec.entries):
-        value, dc = spec.entries[x]
-        if dc:
-            raise QOracleError("resolve don't-care output bits first")
-        g = next_g[value]
-        next_g[value] += 1
-        perm[x << w] = (value << (v + pad)) | (g << pad)
+    perm[xs << w] = values << (v + pad) | g << pad
     roles_in = (ROLE_INPUT,) * spec.n + (ROLE_ANCILLA,) * w
     roles_out = (ROLE_OUTPUT,) * spec.m + (ROLE_GARBAGE,) * (v + pad)
-    report = EmbeddingReport(
-        d=d, v=v, w=w, n_total=n_total, specified_rows=len(spec.entries)
-    )
+    report = EmbeddingReport(d=d, v=v, w=w, n_total=n_total, specified_rows=len(xs))
     return ReversibleSpec(n_total, perm, roles_in, roles_out), report
 
 
@@ -144,19 +135,17 @@ def reexpress(total: ReversibleSpec, report: EmbeddingReport, m: int) -> SpecTab
     Each row keeps the function outputs and counters and drops the pad garbage.
     """
     pad = report.n_total - m - report.v
-    entries = {x: (int(y) >> pad, 0) for x, y in enumerate(total.perm)}
-    return SpecTable(n=report.n_total, m=m + report.v, entries=entries)
+    return SpecTable(report.n_total, m + report.v, total.perm >> pad, np.zeros_like(total.perm))
 
 
-def _unused(partial: ReversibleSpec) -> tuple[list[int], list[int]]:
-    size = 1 << partial.width
-    unused_in = np.flatnonzero(partial.perm == UNSPECIFIED)
+def _unused(partial: ReversibleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The unspecified inputs and the outputs no row reaches, both ascending."""
     used_out = partial.perm[partial.perm != UNSPECIFIED]
-    if len(set(used_out.tolist())) != len(used_out):
+    free_out = np.ones(1 << partial.width, dtype=bool)
+    free_out[used_out] = False
+    if free_out.sum() + len(used_out) != len(free_out):
         raise ValueError("partial map is not injective")
-    out_mask = np.ones(size, dtype=bool)
-    out_mask[used_out] = False
-    return unused_in.tolist(), np.flatnonzero(out_mask).tolist()
+    return np.flatnonzero(partial.perm == UNSPECIFIED), np.flatnonzero(free_out)
 
 
 def complete_onto_naive(partial: ReversibleSpec, *,
@@ -167,8 +156,7 @@ def complete_onto_naive(partial: ReversibleSpec, *,
     """
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
-    for p, q in zip(unused_in, unused_out):
-        perm[p] = q
+    perm[unused_in] = unused_out
     return ReversibleSpec(partial.width, perm, partial.roles_in, partial.roles_out)
 
 
@@ -185,15 +173,10 @@ def complete_onto_hamming(partial: ReversibleSpec, *,
     """
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
-    out_set = set(unused_out)
-    leftover_in = []
-    for p in unused_in:
-        if p in out_set:
-            perm[p] = p
-            out_set.remove(p)
-        else:
-            leftover_in.append(p)
-    remaining = np.array(sorted(out_set), dtype=np.int64)
+    fixed = np.isin(unused_in, unused_out)
+    perm[unused_in[fixed]] = unused_in[fixed]
+    leftover_in = unused_in[~fixed].tolist()
+    remaining = unused_out[~np.isin(unused_out, unused_in)]
     # Distances fit in 7 bits, so the top bit marks a taken output; argmin
     # returns the first minimum, which is the smallest value.
     taken = np.zeros(len(remaining), dtype=np.uint8)

@@ -25,7 +25,7 @@ import numpy as np
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import check_deadline
-from .pla import PlaTable, SpecTable
+from .pla import PlaTable, SpecTable, _word_dtype
 
 Row = tuple[int, int, int]
 
@@ -112,7 +112,8 @@ def spec_to_esop(spec: SpecTable) -> EsopCubeList:
     output column 0 first, then those new in column 1, and so on.
     """
     full = (1 << spec.n) - 1
-    rows = sorted(((full, x, v) for x, (v, _) in sorted(spec.entries.items()) if v),
+    xs = np.flatnonzero(spec.entries > 0)
+    rows = sorted(((full, x, v) for x, v in zip(xs.tolist(), spec.entries[xs].tolist())),
                   key=lambda row: -row[2].bit_length())
     return EsopCubeList(spec.n, spec.m, rows)
 
@@ -305,20 +306,18 @@ def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
 def _column_cubes(cubes: EsopCubeList, deadline: float | None):
     """Yield each output column's cubes in row order, pairing minterm columns.
 
-    The rows are split into per-column index arrays once; a column is paired
-    by ``_pair_minterms`` only when every cube in it is fully specified.  The
-    deadline is checked before each column.
+    A column's rows are those whose output mask, one numpy array for all
+    rows, has its bit set; a column is paired by ``_pair_minterms`` only when
+    every cube in it is fully specified.  The deadline is checked before each
+    column.
     """
     rows, n, m = cubes.cubes, cubes.n, cubes.m
-    width = (m + 7) // 8
-    marks = b"".join(outs.to_bytes(width, "big") for _, _, outs in rows)
-    bits = np.unpackbits(np.frombuffer(marks, np.uint8).reshape(len(rows), width), axis=1)
-    members = bits[:, 8 * width - m:].T
+    outs = np.array([row[2] for row in rows], _word_dtype(m))
     cube_masks = [row[:2] for row in rows]
     table = np.array(cube_masks, dtype=np.int64).reshape(-1, 2) if n <= _PAIR_MAX_N else None
     for j in range(m):
         check_deadline(deadline, _TIMEOUT)
-        index = np.flatnonzero(members[j])
+        index = np.flatnonzero(outs >> (m - 1 - j) & 1)
         if table is not None and (table[index, 0] == (1 << n) - 1).all():
             yield _pair_minterms(table[index, 1], n)
         else:

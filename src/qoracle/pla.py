@@ -7,7 +7,9 @@ column i.  A minterm printed as a bitstring therefore reads MSB-first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import QOracleError, TooWide
 
@@ -19,6 +21,10 @@ _DIRECTIVES = frozenset({".i", ".o", ".p", ".ilb", ".ob", ".type", ".e"})
 
 KIND_F = "f"
 KIND_FD = "fd"
+
+#: The output value of a minterm no cube specifies, in ``SpecTable.entries``
+#: and ``embed.ReversibleSpec.perm`` alike.
+UNSPECIFIED = -1
 
 
 #: One table row ``(care, value, ones, dc)``: bit n-1-col of the input masks
@@ -81,24 +87,36 @@ class PlaTable:
                 raise QOracleError("type f tables forbid '-' output marks")
 
 
-# Output patterns of a SpecTable entry are stored as (value, dc_mask) integer
-# pairs: bit m-1-j of each word corresponds to output column j, dc_mask marks
-# don't-care bits and never overlaps value.
 @dataclass
 class SpecTable:
-    """Fully expanded minterm table; unspecified minterms are simply absent."""
+    """Fully expanded minterm table: two arrays over all 2^n minterms.
+
+    ``entries[x]`` is minterm x's output value, bit m-1-j for output column
+    j, or ``UNSPECIFIED``; ``dc[x]`` holds its don't-care bits, which never
+    overlap the value.  The arrays are int64 while m < 64 and Python ints
+    (dtype=object) beyond.
+    """
 
     n: int
     m: int
-    entries: dict[int, tuple[int, int]] = field(default_factory=dict)
+    entries: np.ndarray
+    dc: np.ndarray
 
     def output_bits(self, minterm: int) -> str:
         """Render the output pattern of one minterm as 0/1/- (MSB first)."""
-        value, dc = self.entries[minterm]
-        return _literals(~dc, value, self.m)
+        return _literals(~int(self.dc[minterm]), int(self.entries[minterm]), self.m)
+
+    def specified(self) -> np.ndarray:
+        """The specified minterms, ascending."""
+        return np.flatnonzero(self.entries != UNSPECIFIED)
 
     def has_dontcares(self) -> bool:
-        return any(dc for _, dc in self.entries.values())
+        return bool(self.dc.any())
+
+
+def _word_dtype(bits: int) -> type:
+    """The numpy dtype of ``bits``-bit words: int64 below 64 bits, Python ints beyond."""
+    return np.int64 if bits < 64 else object
 
 
 def parse_pla(text: str) -> PlaTable:
@@ -185,26 +203,36 @@ def expand(table: PlaTable, *, partial: bool = False) -> SpecTable:
 
     Output marks combine across cubes by OR of their ON sets; a One mark wins
     over a DontCare on the same bit.  Minterms covered by no cube default to
-    all-zero outputs unless ``partial`` leaves them unspecified.
+    all-zero outputs unless ``partial`` leaves them ``UNSPECIFIED``.  Cubes
+    with the same number k of '-' inputs are expanded together, 2^(18 - k)
+    of them (at least one) to a numpy matrix of minterms.
     """
-    if table.n > EXPANSION_LIMIT:
-        raise TooWide(f".i {table.n} exceeds the expansion limit of {EXPANSION_LIMIT}")
-    full = (1 << table.n) - 1
-    on: dict[int, int] = {}
-    dc: dict[int, int] = {}
-    for care, value, ones, dc_mask in table.cubes:
-        for x in _fill(value, full & ~care):
-            on[x] = on.get(x, 0) | ones
-            dc[x] = dc.get(x, 0) | dc_mask
-    entries: dict[int, tuple[int, int]] = {}
+    n = table.n
+    if n > EXPANSION_LIMIT:
+        raise TooWide(f".i {n} exceeds the expansion limit of {EXPANSION_LIMIT}")
+    size, dtype = 1 << n, _word_dtype(table.m)
+    on, dc, covered = np.zeros(size, dtype), np.zeros(size, dtype), np.zeros(size, bool)
+    rows = np.array(table.cubes, dtype).reshape(-1, 4)
+    care, value = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    dashes = n - np.bitwise_count(care)
+    for k in np.unique(dashes).tolist():
+        group, step = np.flatnonzero(dashes == k), max(1, (1 << 18) >> k)
+        for at in range(0, len(group), step):
+            cubes = group[at:at + step]
+            free = ~care[cubes] & (size - 1)
+            # Row i holds the minterms of cube i: its value plus every subset of its '-' bits.
+            xs = value[cubes, None]
+            for _ in range(k):
+                low = free & -free
+                xs = np.concatenate((xs, xs | low[:, None]), axis=1)
+                free ^= low
+            np.bitwise_or.at(on, xs, rows[cubes, 2:3])
+            np.bitwise_or.at(dc, xs, rows[cubes, 3:4])
+            covered[xs] = True
+    dc &= ~on
     if partial:
-        keys: Iterable[int] = sorted(on)
-    else:
-        keys = range(1 << table.n)
-    for x in keys:
-        value = on.get(x, 0)
-        entries[x] = (value, dc.get(x, 0) & ~value)
-    return SpecTable(n=table.n, m=table.m, entries=entries)
+        on[~covered] = UNSPECIFIED
+    return SpecTable(n, table.m, on, dc)
 
 
 def encode_integer_pairs(pairs: Sequence[tuple[int, int]]) -> PlaTable:

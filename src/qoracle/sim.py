@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -11,7 +10,7 @@ from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_
                       _from_msb_first, _qubits)
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import QOracleError, TooWide
-from .pla import SpecTable
+from .pla import SpecTable, _word_dtype
 
 #: Hard cap for explicit 2^N statevector enumeration.
 SIM_LIMIT = 20
@@ -35,18 +34,28 @@ class VerificationReport:
         return f"{self.checked}/{self.total_minterms} minterms checked: {state}"
 
 
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """Transpose a bit matrix given as ``width``-bit ints, MSB first.
+def _planes(column: np.ndarray, width: int) -> list[int]:
+    """Bit-planes of ``column``: bit p of plane q is bit ``width - 1 - q`` of ``column[p]``.
 
-    Column j comes back as a len(rows)-bit int whose MSB is row 0, so the
-    function is its own inverse: it turns basis states into per-qubit
-    bit-planes and bit-planes back into basis states.
+    Python-int columns (dtype=object) are split into int64 slices of 63 bits.
     """
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "big") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(raw).reshape(len(rows), 8 * nbytes)[:, 8 * nbytes - width:]
-    pad = -len(rows) % 8
-    return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(bits.T, axis=1)]
+    if column.dtype == object:
+        return [plane for lo in reversed(range(0, width, 63))
+                for plane in _planes((column >> lo & (1 << 63) - 1).astype(np.int64),
+                                       min(63, width - lo))]
+    return [int.from_bytes(np.packbits(column & (1 << k), bitorder="little").tobytes(), "little")
+            for k in reversed(range(width))]
+
+
+def _values(planes: list[int], size: int) -> np.ndarray:
+    """The inverse of ``_planes``: the value at each of ``size`` positions."""
+    width = len(planes)
+    column = np.zeros(size, _word_dtype(width))
+    for q, plane in enumerate(planes):
+        bits = np.unpackbits(np.frombuffer(plane.to_bytes(-(-size // 8), "little"), np.uint8),
+                             count=size, bitorder="little")
+        column |= bits.astype(column.dtype) << (width - 1 - q)
+    return column
 
 
 def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
@@ -76,9 +85,9 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
 
 def apply_classical(circuit: Circuit, patterns: list[int]) -> list[int]:
     """Run basis states through an X/MCX cascade, all at once as bit-planes."""
-    planes = _transpose(patterns, circuit.width)
+    planes = _planes(np.array(patterns, _word_dtype(circuit.width)), circuit.width)
     _run_planes(circuit, planes, (1 << len(patterns)) - 1)
-    return _transpose(planes, len(patterns))
+    return _values(planes, len(patterns)).tolist()
 
 
 def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[int]]:
@@ -106,30 +115,30 @@ def verify_oracle(circuit: Circuit, spec: SpecTable, mode: str = MODE_MINIMAL) -
         raise ValueError(f"unknown mode {mode!r}")
     ins, outs = _role_positions(circuit, spec)
     n, m = spec.n, spec.m
-    minterms = sorted(spec.entries)
+    minterms = spec.specified()
     count = len(minterms)
     report = VerificationReport(total_minterms=count, checked=count)
-    # One row per minterm: its input bits, expected outputs and don't-care mask.
-    rows = [x << 2 * m | spec.entries[x][0] << m | spec.entries[x][1] for x in minterms]
-    cols = _transpose(rows, n + 2 * m)
+    # Position p of every plane is the p-th specified minterm.
+    xs = _planes(minterms, n)
+    want, dc = _planes(spec.entries[minterms], m), _planes(spec.dc[minterms], m)
     planes = [0] * circuit.width
-    for q, plane in zip(ins, cols):
+    for q, plane in zip(ins, xs):
         planes[q] = plane
     _run_planes(circuit, planes, (1 << count) - 1)
 
     bad = 0
-    for q, want, dc in zip(outs, cols[n:], cols[n + m:]):
-        bad |= (planes[q] ^ want) & ~dc
+    for q, expected, free in zip(outs, want, dc):
+        bad |= (planes[q] ^ expected) & ~free
     if mode == MODE_PRESERVE:
-        for q, x in zip(ins, cols):
+        for q, x in zip(ins, xs):
             bad |= planes[q] ^ x
     if not bad:
         return report
 
-    got = _transpose([planes[q] for q in outs + ins], count)
-    for minterm, word in compress(zip(minterms, got), _transpose([bad], count)):
-        x_bits, bits = format(minterm, f"0{n}b"), format(word, f"0{m + n}b")
-        expected, got_bits = spec.output_bits(minterm), bits[:m]
+    got = _values([planes[q] for q in outs + ins], count)
+    for p in np.flatnonzero(_values([bad], count)).tolist():
+        x_bits, bits = format(minterms[p], f"0{n}b"), format(int(got[p]), f"0{m + n}b")
+        expected, got_bits = spec.output_bits(minterms[p]), bits[:m]
         if mode == MODE_PRESERVE:
             expected, got_bits = f"{expected}|{x_bits}", f"{bits[:m]}|{bits[m:]}"
         report.mismatches.append((x_bits, expected, got_bits))

@@ -14,7 +14,7 @@ and is read there without a search.  The rows below it are fixed; once
 ``_SHIFT_AT`` of them have gathered, every plane is shifted right past them,
 so later gates no longer walk over them.  A bidirectional run keeps every
 position and searches the planes for each row and for its preimage.  The
-planes are built from the permutation array with numpy, one plane at a time.
+planes come from ``sim._planes``, which verification uses too.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import numpy as np
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, QOracleError, check_deadline
+from .sim import _planes
 
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
@@ -33,12 +34,6 @@ GATE_LIMIT = 50_000
 #: Fixed rows a unidirectional run lets gather below the current row before
 #: it shifts them out of the planes.
 _SHIFT_AT = 64
-
-
-def _planes(column: np.ndarray, width: int) -> list[int]:
-    """Bit-planes of ``column``: bit p of plane q is bit ``width - 1 - q`` of ``column[p]``."""
-    return [int.from_bytes(np.packbits(column & (1 << k), bitorder="little").tobytes(), "little")
-            for k in reversed(range(width))]
 
 
 def _cost(value: int, row: int) -> tuple[int, int]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -27,10 +28,24 @@ def cube(inputs: str, outputs: str) -> pla.Row:
     return care, value, ones, ~out_care & ((1 << len(outputs)) - 1)
 
 
+def spec_table(n: int, m: int, rows: dict[int, tuple[int, int]]) -> pla.SpecTable:
+    """The minterm table of ``{minterm: (value, dc)}`` rows; minterms left out are unspecified."""
+    entries = np.full(1 << n, pla.UNSPECIFIED, pla._word_dtype(m))
+    dc = np.zeros(1 << n, pla._word_dtype(m))
+    for x, (value, free) in rows.items():
+        entries[x], dc[x] = value, free
+    return pla.SpecTable(n, m, entries, dc)
+
+
+def spec_rows(spec: pla.SpecTable) -> dict[int, tuple[int, int]]:
+    """The specified rows of a minterm table as ``{minterm: (value, dc)}``, ascending."""
+    return {x: (int(spec.entries[x]), int(spec.dc[x])) for x in spec.specified().tolist()}
+
+
 def table_from_spec(spec: pla.SpecTable) -> pla.PlaTable:
-    """Re-express a minterm table in cube form, one cube per entry."""
+    """Re-express a minterm table in cube form, one cube per specified minterm."""
     full = (1 << spec.n) - 1
-    cubes = [(full, x, *spec.entries[x]) for x in sorted(spec.entries)]
+    cubes = [(full, x, *row) for x, row in spec_rows(spec).items()]
     return pla.PlaTable(n=spec.n, m=spec.m, cubes=cubes)
 
 

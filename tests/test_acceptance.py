@@ -19,7 +19,7 @@ from qoracle import embed, esop, grover, pla, sim, tbs
 from qoracle.cli import run_synthesis
 from qoracle.errors import GateLimitExceeded, SynthesisTimeout, TooWide
 
-from conftest import BENCH_DIR, cube, induced_permutation
+from conftest import BENCH_DIR, cube, induced_permutation, spec_table
 
 EXPECTED_ESOP_QUBITS = {
     "squar5": 13, "Z9sym": 10, "inc": 16, "Z5xp1": 17, "dist": 13, "f51m": 16,
@@ -178,7 +178,7 @@ def test_criterion_06_esop_round_trip_property():
         outs = sim.apply_classical(lowered, [(x << m) | ones for x in range(1 << n)])
         for x in range(1 << n):
             got = outs[x]
-            value, dc = spec.entries[x]
+            value, dc = int(spec.entries[x]), int(spec.dc[x])
             if got >> m != x or (got & ones) & ~dc != (value ^ ones) & ~dc:
                 failures += 1
                 break
@@ -227,7 +227,7 @@ def test_criterion_09_complexity_units():
 
 
 def test_criterion_10_rtt_worked_example():
-    spec = pla.SpecTable(2, 1, {0b00: (0, 0), 0b01: (0, 0), 0b10: (1, 0), 0b11: (0, 0)})
+    spec = spec_table(2, 1, {0b00: (0, 0), 0b01: (0, 0), 0b10: (1, 0), 0b11: (0, 0)})
     partial, report = embed.rtt_embed(spec)
     rows = {x: int(y) for x, y in enumerate(partial.perm) if y != embed.UNSPECIFIED}
     ok = (

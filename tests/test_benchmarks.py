@@ -26,15 +26,30 @@ def test_manifest_matches_files():
         assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"], entry["name"]
 
 
-def test_generator_writes_the_bundled_files():
+def load_generator():
     path = BENCH_DIR.parent / "scripts" / "make_benchmarks.py"
     spec = importlib.util.spec_from_file_location("make_benchmarks", path)
     generator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generator)
+    return generator
+
+
+def test_generator_writes_the_bundled_files():
+    generator = load_generator()
     assert len(generator.FUNCTIONS) == 12
     for name in generator.FUNCTIONS:
         text = pla.write_pla(generator.build_table(name))
         assert text.encode() == (BENCH_DIR / f"{name}.pla").read_bytes(), name
+
+
+def test_generator_profiles_hold_for_every_function(bench_tables):
+    # check_profile compares each expansion with its generating function, then the
+    # duplication profile, the circuit widths and the esop complexity envelope.
+    generator = load_generator()
+    profiles = {entry["name"]: entry["profile"] for entry in load_manifest()["functions"]}
+    for name in generator.FUNCTIONS:
+        stats = generator.check_profile(name, bench_tables[name])
+        assert {k: stats[k] for k in ("d", "v", "w", "n_total")} == profiles[name], name
 
 
 def test_manifest_declares_true_interfaces(bench_tables):
@@ -65,7 +80,7 @@ def test_wide_expansion_cube_lists_match_completed_permutation(bench_tables):
     cubes = esop.minimize_esop(esop.sop_to_esop(table_from_spec(re_spec)))
     xs = np.arange(1 << re_spec.n)
     got = _evaluate_cubes(cubes, xs)
-    want = np.array([re_spec.entries[int(x)][0] for x in xs])
+    want = re_spec.entries
     assert np.array_equal(got, want)
 
 
@@ -78,7 +93,7 @@ def test_wide_esop_cube_lists_match_expansion(bench_tables):
         cubes = esop.minimize_esop(esop.sop_to_esop(table))
         xs = np.arange(1 << table.n)
         got = _evaluate_cubes(cubes, xs)
-        want = np.array([spec.entries[int(x)][0] for x in xs])
+        want = spec.entries
         assert np.array_equal(got, want), name
 
 

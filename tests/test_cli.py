@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -622,6 +623,32 @@ def test_synth_partial_checks_only_covered_minterms(tmp_path):
     assert full.verification.checked == 8
     part = run_synthesis(pla_mod.parse_pla(table.read_text()), "esop", partial=True)
     assert part.verification.checked == 2 and part.verification.passed
+
+
+def wide_output_table() -> pla.PlaTable:
+    """A seeded 6-input, 70-output table: cube outputs from a pool of three, a few '-' marks."""
+    rng = random.Random(70)
+    pool = ["".join(rng.choices("01-", weights=(10, 9, 1))[0] for _ in range(70))
+            for _ in range(3)]
+    rows = [f"{''.join(rng.choice('01-') for _ in range(6))} {rng.choice(pool)}"
+            for _ in range(12)]
+    return pla.parse_pla(".i 6\n.o 70\n" + "\n".join(rows) + "\n.e\n")
+
+
+@pytest.mark.parametrize("options,checked,gates,complexity", [
+    ({}, 64, 476, 2488),
+    ({"dc_minimize": True}, 64, 1570, 10486),
+    ({"partial": True}, 42, 476, 2488),
+    ({"partial": True, "dc_minimize": True, "minimize": False}, 42, 1570, 10486),
+], ids=["default", "dc-minimize", "partial", "partial-dc-minimize-unminimized"])
+def test_esop_on_more_than_63_outputs(options, checked, gates, complexity):
+    # 70-bit output words are Python ints (dtype=object) in the minterm table.
+    table = wide_output_table()
+    assert pla.expand(table).entries.dtype == object
+    result = cli.run_synthesis(table, "esop", **options)
+    assert result.verification.passed and result.verification.checked == checked
+    r = result.report
+    assert (r.qubits, r.gate_count, r.complexity) == (76, gates, complexity)
 
 
 def test_encode_roundtrip(tmp_path):

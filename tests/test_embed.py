@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import embed, pla
+from qoracle.cli import run_synthesis
 from qoracle.errors import QOracleError, SynthesisTimeout, TooWide, check_deadline
+
+from conftest import spec_rows, spec_table
 
 
 def spec_of(n, m, mapping):
-    return pla.SpecTable(n=n, m=m, entries={x: (y, 0) for x, y in mapping.items()})
+    return spec_table(n, m, {x: (y, 0) for x, y in mapping.items()})
 
 
 def test_multiplicity_counts_duplicates():
@@ -24,26 +28,65 @@ def test_multiplicity_counts_duplicates():
 
 def test_multiplicity_injective_and_empty():
     assert embed.max_output_multiplicity(spec_of(2, 2, {0: 1, 1: 2, 2: 3, 3: 0})) == 1
-    assert embed.max_output_multiplicity(pla.SpecTable(2, 1)) == 0
+    assert embed.max_output_multiplicity(spec_table(2, 1, {})) == 0
 
 
 def test_multiplicity_requires_resolution():
-    spec = pla.SpecTable(1, 1, {0: (0, 1)})
+    spec = spec_table(1, 1, {0: (0, 1)})
     with pytest.raises(QOracleError, match="resolve don't-care output bits first"):
         embed.max_output_multiplicity(spec)
 
 
 def test_resolve_zeros():
-    spec = pla.SpecTable(1, 1, {0: (0, 1)})
-    assert embed.resolve_dontcares(spec).entries == {0: (0, 0)}
+    resolved = embed.resolve_dontcares(spec_table(1, 1, {0: (0, 1)}))
+    assert resolved.entries.tolist() == [0, pla.UNSPECIFIED] and resolved.dc.tolist() == [0, 0]
 
 
 def test_resolve_min_duplication_avoids_crowded_pattern():
     # Rows 00 and 10 already use pattern 01 twice, so the free bit of the
     # 0- row must complete to 00.
-    spec = pla.SpecTable(2, 2, {0b00: (0b01, 0), 0b01: (0b00, 0b01), 0b10: (0b01, 0)})
+    spec = spec_table(2, 2, {0b00: (0b01, 0), 0b01: (0b00, 0b01), 0b10: (0b01, 0)})
     resolved = embed.resolve_dontcares(spec, embed.RESOLVE_MIN_DUPLICATION)
-    assert resolved.entries[0b01] == (0b00, 0)
+    assert spec_rows(resolved)[0b01] == (0b00, 0)
+
+
+def reference_min_duplication(spec):
+    """Min-duplication on dict rows, ``min`` over all completions of each row with don't-cares."""
+    rows = spec_rows(spec)
+    counts = Counter(value for value, dc in rows.values() if not dc)
+    resolved = {}
+    for x, (value, dc) in rows.items():
+        if dc:
+            value = min(pla._fill(value, dc), key=lambda c: (counts[c], c))
+            counts[value] += 1
+        resolved[x] = (value, 0)
+    return resolved
+
+
+@st.composite
+def dontcare_specs(draw):
+    """Tables with few outputs and many don't-cares, so some rows find every completion taken."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    word = st.integers(0, (1 << m) - 1)
+    rows = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.tuples(word, word)))
+    return spec_table(n, m, {x: (value & ~dc, dc) for x, (value, dc) in rows.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(dontcare_specs())
+def test_min_duplication_matches_brute_force_min(spec):
+    resolved = embed.resolve_dontcares(spec, embed.RESOLVE_MIN_DUPLICATION)
+    assert spec_rows(resolved) == reference_min_duplication(spec)
+    assert not resolved.has_dontcares()
+
+
+def test_min_duplication_finishes_rows_of_40_dontcares():
+    # Each row has 2^40 completions; the first unused one is taken without looking further.
+    table = pla.parse_pla(".i 3\n.o 40\n--- " + "-" * 40 + "\n.e\n")
+    resolved = embed.resolve_dontcares(pla.expand(table), embed.RESOLVE_MIN_DUPLICATION)
+    assert resolved.entries.tolist() == list(range(8)) and not resolved.has_dontcares()
+    result = run_synthesis(table, "esop", dc_minimize=True, timeout_s=60)
+    assert result.verification.passed and result.verification.checked == 8
 
 
 def test_resolve_without_dontcares_is_identity():
@@ -84,7 +127,7 @@ def test_rtt_too_wide(bench_tables):
 def test_rtt_pads_garbage_for_partial_wide_tables():
     # Two specified rows of a 3-in/1-out partial table: injective, so the
     # output side needs two pad garbage columns to reach width 3.
-    spec = pla.SpecTable(3, 1, {0b000: (0, 0), 0b111: (1, 0)})
+    spec = spec_table(3, 1, {0b000: (0, 0), 0b111: (1, 0)})
     partial, report = embed.rtt_embed(spec)
     assert (report.v, report.w, report.n_total) == (0, 0, 3)
     assert partial.roles_out == ("output", "garbage", "garbage")
@@ -247,7 +290,7 @@ def random_specs(draw, max_n=6, max_m=6):
             st.integers(0, (1 << m) - 1), min_size=len(minterms), max_size=len(minterms)
         )
     )
-    return pla.SpecTable(n, m, {x: (v, 0) for x, v in zip(minterms, values)})
+    return spec_table(n, m, {x: (v, 0) for x, v in zip(minterms, values)})
 
 
 @settings(max_examples=80, deadline=None)
@@ -266,7 +309,7 @@ def test_rtt_report_formulas_and_injectivity(spec):
 
     # Projection: ancilla-zero rows reproduce the source function bits.
     pad = report.n_total - spec.m - report.v
-    for x, (value, _) in spec.entries.items():
+    for x, (value, _) in spec_rows(spec).items():
         out = int(partial.perm[x << report.w])
         assert out >> (report.v + pad) == value
 

@@ -34,8 +34,7 @@ def truth_table(cubes: esop.EsopCubeList) -> list[int]:
 
 
 def or_table(table: pla.PlaTable) -> list[int]:
-    spec = pla.expand(table)
-    return [spec.entries[x][0] for x in range(1 << table.n)]
+    return pla.expand(table).entries.tolist()
 
 
 def test_sop_to_esop_disjoints_overlap():
@@ -163,7 +162,7 @@ def test_end_to_end_oracle_and_xor_shift(table):
     for x in range(1 << n):
         got = outs[x]
         assert got >> m == x
-        value, dc = spec.entries[x]
+        value, dc = int(spec.entries[x]), int(spec.dc[x])
         assert (got & ones) & ~dc == (value ^ ones) & ~dc
 
 

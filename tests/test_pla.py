@@ -1,6 +1,10 @@
 """Tables: parsing, expansion, emission and integer ingestion."""
 from __future__ import annotations
 
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from qoracle import pla
 from qoracle.errors import QOracleError, TooWide
 
-from conftest import cube, pla_tables, table_from_spec
+from conftest import cube, pla_tables, spec_rows, table_from_spec
 
 
 def test_parse_single_cube_and():
@@ -102,7 +106,7 @@ def test_type_f_rejects_output_dash():
 def test_expand_dash_inputs():
     table = pla.parse_pla(".i 2\n.o 1\n1- 1\n.e")
     spec = pla.expand(table)
-    assert spec.entries == {0: (0, 0), 1: (0, 0), 2: (1, 0), 3: (1, 0)}
+    assert spec.entries.tolist() == [0, 0, 1, 1] and spec.dc.tolist() == [0, 0, 0, 0]
 
 
 def test_expand_fd_dontcare_combination():
@@ -110,10 +114,11 @@ def test_expand_fd_dontcare_combination():
     # upgrades 01 to One; 10 and 11 stay at the all-zero default.
     table = pla.parse_pla(".i 2\n.o 1\n01 1\n0- -\n.e")
     spec = pla.expand(table)
-    assert spec.entries[0b01] == (1, 0)
-    assert spec.entries[0b00] == (0, 1)
-    assert spec.entries[0b10] == (0, 0)
-    assert spec.entries[0b11] == (0, 0)
+    rows = spec_rows(spec)
+    assert rows[0b01] == (1, 0)
+    assert rows[0b00] == (0, 1)
+    assert rows[0b10] == (0, 0)
+    assert rows[0b11] == (0, 0)
 
 
 def test_expand_too_wide():
@@ -122,12 +127,29 @@ def test_expand_too_wide():
         pla.expand(table)
 
 
+def test_expand_at_the_input_limit_stays_small():
+    # Two int64 arrays over 2^20 minterms take 16 MB.
+    rng = random.Random(20)
+    rows = [" ".join("".join(rng.choice("01-") for _ in range(width)) for width in (20, 4))
+            for _ in range(60)]
+    table = pla.parse_pla(".i 20\n.o 4\n" + "\n".join(rows) + "\n.e\n")
+    tracemalloc.start()
+    try:
+        spec = pla.expand(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
+    assert len(spec.entries) == len(spec.dc) == 1 << 20
+
+
 def test_expand_partial_leaves_minterms_out():
     table = pla.parse_pla(".i 3\n.o 1\n111 1\n000 0\n.e")
     spec = pla.expand(table, partial=True)
-    assert set(spec.entries) == {0b111, 0b000}
+    assert spec.specified().tolist() == [0b000, 0b111]
+    assert spec.entries.tolist() == [0] + [pla.UNSPECIFIED] * 6 + [1]
     total = pla.expand(table)
-    assert set(total.entries) == set(range(8))
+    assert total.specified().tolist() == list(range(8))
 
 
 def test_write_pla_exact():
@@ -168,8 +190,7 @@ def test_expand_monotone(table, data):
     before = pla.expand(table)
     grown = pla.PlaTable(table.n, table.m, table.cubes + [extra], table.kind)
     after = pla.expand(grown)
-    for x, (value, _) in before.entries.items():
-        assert after.entries[x][0] & value == value
+    assert ((after.entries & before.entries) == before.entries).all()
 
 
 @settings(max_examples=60)
@@ -230,4 +251,4 @@ def test_spec_roundtrip_partition(bench_tables):
     table = bench_tables["squar5"]
     spec = pla.expand(table)
     again = pla.expand(table_from_spec(spec))
-    assert again.entries == spec.entries
+    assert np.array_equal(again.entries, spec.entries) and np.array_equal(again.dc, spec.dc)

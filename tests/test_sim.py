@@ -14,7 +14,7 @@ from qoracle import esop, pla, sim
 from qoracle.errors import QOracleError, TooWide
 
 from conftest import (classical_circuits, control_masks, from_cubes, gate_controls,
-                      induced_permutation, table_from_spec)
+                      induced_permutation, spec_table, table_from_spec)
 
 
 def ten_of_diamonds_oracle():
@@ -59,10 +59,6 @@ def test_cascades_induce_bijections(c):
     assert sorted(table) == list(range(1 << c.width))
 
 
-def make_spec(n, m, mapping):
-    return pla.SpecTable(n=n, m=m, entries={x: (y, 0) for x, y in mapping.items()})
-
-
 def test_verify_oracle_passes_and_catches_corruption():
     table = pla.parse_pla(".i 2\n.o 1\n11 1\n01 1\n.e")
     cubes = esop.sop_to_esop(table)
@@ -79,12 +75,12 @@ def test_verify_oracle_passes_and_catches_corruption():
 
 def test_verify_oracle_empty_spec():
     oracle = ten_of_diamonds_oracle()
-    report = sim.verify_oracle(oracle, pla.SpecTable(6, 1), sim.MODE_MINIMAL)
+    report = sim.verify_oracle(oracle, spec_table(6, 1, {}), sim.MODE_MINIMAL)
     assert report.passed and report.checked == 0
 
 
 def test_verify_oracle_skips_dontcare_bits():
-    spec = pla.SpecTable(1, 1, {0: (0, 1), 1: (0, 1)})
+    spec = spec_table(1, 1, {0: (0, 1), 1: (0, 1)})
     c = circ.Circuit(2, [circ.mcx(1, 1 << 0)],
                      roles_in=("input", "ancilla"),
                      roles_out=("input", "output"))
@@ -94,7 +90,7 @@ def test_verify_oracle_skips_dontcare_bits():
 def test_verify_oracle_role_mismatch():
     oracle = ten_of_diamonds_oracle()
     with pytest.raises(QOracleError, match="6 input qubits for an n=3 table"):
-        sim.verify_oracle(oracle, pla.SpecTable(3, 1), sim.MODE_MINIMAL)
+        sim.verify_oracle(oracle, spec_table(3, 1, {}), sim.MODE_MINIMAL)
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,7 +109,7 @@ def test_cross_backend_oracle_agreement(data):
             min_size=1,
         )
     )
-    table = table_from_spec(pla.SpecTable(n, m, entries))
+    table = table_from_spec(spec_table(n, m, entries))
     esop_result = run_synthesis(table, "esop", partial=True)
     tbs_result = run_synthesis(table, "tbs", partial=True)
     for result in (esop_result, tbs_result):
@@ -159,7 +155,7 @@ def test_bitplane_simulator_matches_reference_at_any_width(c, data):
         dc = data.draw(st.integers(0, (1 << m) - 1))
         entries[x] = (actual[x] & ~dc, dc)
         preserved = preserved and qubits(end, ins) == x
-    spec = pla.SpecTable(n, m, entries)
+    spec = spec_table(n, m, entries)
     report = sim.verify_oracle(oracle, spec, sim.MODE_MINIMAL)
     assert report.passed and report.checked == report.total_minterms == len(entries)
     assert sim.verify_oracle(oracle, spec, sim.MODE_PRESERVE).passed == preserved
@@ -168,7 +164,7 @@ def test_bitplane_simulator_matches_reference_at_any_width(c, data):
     x = data.draw(st.sampled_from(sorted(entries)))
     bit = 1 << data.draw(st.integers(0, m - 1))
     dc = entries[x][1] & ~bit
-    wrong = pla.SpecTable(n, m, {**entries, x: ((actual[x] ^ bit) & ~dc, dc)})
+    wrong = spec_table(n, m, {**entries, x: ((actual[x] ^ bit) & ~dc, dc)})
     bad = sim.verify_oracle(oracle, wrong, sim.MODE_MINIMAL)
     assert bad.mismatches == [
         (format(x, f"0{n}b"), wrong.output_bits(x), format(actual[x], f"0{m}b"))

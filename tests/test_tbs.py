@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import embed, tbs
+from qoracle import embed, sim, tbs
 from qoracle.errors import GateLimitExceeded, QOracleError, SynthesisTimeout
 
 from conftest import induced_permutation
@@ -227,12 +227,19 @@ def test_only_bidirectional_runs_search_for_rows(monkeypatch, bidirectional):
         assert synth(perm, direction).gates == expected
 
 
-@pytest.mark.parametrize("width", range(6))
+@pytest.mark.parametrize("width", [*range(6), 70])
 def test_planes_match_bitwise_reference(width):
-    # Bit p of plane q is bit width - 1 - q of the value at position p; widths 0 and 1 included.
-    perm = np.random.default_rng(width).permutation(1 << width)
-    planes = tbs._planes(perm, width)
+    # Bit p of plane q is bit width - 1 - q of the value at position p; widths 0 and 1
+    # included, and a 70-bit column of Python ints (dtype=object) built 63 bits at a time.
+    rng = np.random.default_rng(width)
+    if width < 64:
+        perm = rng.permutation(1 << width)
+    else:
+        perm = np.array([int(rng.integers(1 << 62)) << 8 | int(rng.integers(256))
+                         for _ in range(40)] + [(1 << width) - 1, 0], dtype=object)
+    planes = sim._planes(perm, width)
     assert len(planes) == width
+    assert sim._values(planes, len(perm)).tolist() == perm.tolist()
     for q, plane in enumerate(planes):
         assert plane == sum((int(y) >> (width - 1 - q) & 1) << p for p, y in enumerate(perm))
 
@@ -247,7 +254,7 @@ def test_widths_zero_and_one():
 def test_read_matches_bitwise_reference_at_both_ends():
     width, size = 12, 1 << 12
     perm = np.random.default_rng(8).permutation(size)
-    planes, full = tbs._planes(perm, width), (1 << size) - 1
+    planes, full = sim._planes(perm, width), (1 << size) - 1
     for at in (0, 1, size // 2 - 1, size // 2, size - 1):
         bits = [format(plane, f"0{size}b")[size - 1 - at] for plane in planes]
         assert tbs._read(planes, at, full) == sum(1 << q for q, b in enumerate(bits) if b == "1")
