@@ -68,7 +68,7 @@ def run_synthesis(
     resolved = embedding = None
     if method != "esop" or dc_minimize:
         policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
-        resolved = embed.resolve_dontcares(spec, policy)
+        resolved = embed.resolve_dontcares(spec, policy, deadline=deadline)
     if method != "esop":
         # Stages are looked up at call time, so a patched ``embed`` attribute is the one run.
         partial_spec, embedding = embed.rtt_embed(resolved)
@@ -77,7 +77,7 @@ def run_synthesis(
 
     if method == "tbs":
         raw = tbs.tbs_synthesize(total, direction=direction, deadline=deadline)
-        check_spec, mode = resolved, sim.MODE_MINIMAL
+        check_spec = resolved
     else:
         if method == "esop-rtt":
             # The completed permutation's minterms are already a disjoint ESOP.
@@ -86,11 +86,10 @@ def run_synthesis(
         elif dc_minimize:
             check_spec, cube_list = spec, esop.spec_to_esop(resolved)
         else:
-            check_spec, cube_list = spec, esop.sop_to_esop(table)
+            check_spec, cube_list = spec, esop.sop_to_esop(table, deadline=deadline)
         if minimize:
             cube_list = esop.minimize_esop(cube_list, deadline=deadline)
         raw = esop.esop_to_circuit(cube_list, method=method)
-        mode = sim.MODE_PRESERVE
     raw.source = source
     check_deadline(deadline, "gave up after the %s backend", method)
 
@@ -99,7 +98,7 @@ def run_synthesis(
     report = circ.metrics(lowered, elapsed_us)
 
     check_deadline(deadline, "gave up before verification")
-    verification = sim.verify_oracle(lowered, check_spec, mode)
+    verification = sim.verify_oracle(lowered, check_spec)
     if not verification.passed:
         raise VerificationFailed(verification)
     return SynthResult(lowered, report, embedding, verification)
@@ -209,7 +208,7 @@ def _cmd_verify(args) -> int:
     table = pla.parse_pla(Path(args.infile).read_text())
     circuit = emit.from_json(Path(args.circuit).read_text())
     spec = pla.expand(table, partial=args.partial)
-    report = sim.verify_oracle(circuit, spec, args.mode)
+    report = sim.verify_oracle(circuit, spec)
     print(report.summary())
     for x_bits, expected, got in report.mismatches[:20]:
         print(f"  {x_bits}: expected {expected}, got {got}")
@@ -320,8 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit netlist against a table")
     p.add_argument("--in", dest="infile", required=True, metavar="PLA")
     p.add_argument("--circuit", required=True, metavar="JSON")
-    p.add_argument("--mode", choices=(sim.MODE_MINIMAL, sim.MODE_PRESERVE),
-                   default=sim.MODE_PRESERVE)
     p.add_argument("--partial", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -68,7 +68,8 @@ def max_output_multiplicity(spec: SpecTable) -> int:
     return int(np.unique(values, return_counts=True)[1].max()) if len(values) else 0
 
 
-def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable:
+def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS, *,
+                      deadline: float | None = None) -> SpecTable:
     """Assign every don't-care output bit.
 
     ``zeros`` clears them; ``min-duplication`` walks the rows with
@@ -76,7 +77,8 @@ def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable
     whose pattern currently has the lowest multiplicity, ties toward the
     all-zero assignment.  Completions come in ascending order, so the first
     pattern not yet used wins outright; only a row whose every completion is
-    taken compares them all.
+    taken compares them all.  ``deadline`` is a ``time.monotonic()`` value,
+    checked every 256 rows with don't-cares.
     """
     if policy not in (RESOLVE_ZEROS, RESOLVE_MIN_DUPLICATION):
         raise ValueError(f"unknown policy {policy!r}")
@@ -86,7 +88,11 @@ def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable
     if policy == RESOLVE_MIN_DUPLICATION:
         rows = np.flatnonzero(spec.dc)
         counts = Counter(spec.entries[(spec.dc == 0) & (spec.entries != UNSPECIFIED)].tolist())
-        for x, value, dc in zip(rows.tolist(), entries[rows].tolist(), spec.dc[rows].tolist()):
+        for i, (x, value, dc) in enumerate(zip(rows.tolist(), entries[rows].tolist(),
+                                               spec.dc[rows].tolist())):
+            if not i % 256:
+                check_deadline(deadline, "don't-care resolution gave up at row %d of %d",
+                               i, len(rows))
             chosen = next((c for c in _fill(value, dc) if not counts[c]), None)
             if chosen is None:
                 chosen = min(_fill(value, dc), key=lambda c: (counts[c], c))

@@ -61,8 +61,12 @@ def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, 
     return pieces
 
 
-def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
-    """Make an OR cube list pairwise disjoint (then OR equals XOR)."""
+def _disjoint_column(cubes: list[tuple[int, int]], full: int,
+                     deadline: float | None) -> list[tuple[int, int]]:
+    """Make an OR cube list pairwise disjoint (then OR equals XOR).
+
+    The deadline is checked every 256 earlier cubes a cube is cut against.
+    """
     result: list[tuple[int, int]] = []
     minterms: set[int] = set()
     dashed: list[tuple[int, int]] = []
@@ -77,7 +81,9 @@ def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int,
             result.append(cube)
             continue
         pieces = [cube]
-        for ex in result:
+        for i, ex in enumerate(result):
+            if not i % 256:
+                check_deadline(deadline, "ESOP conversion ran out of time")
             pieces = [p for piece in pieces for p in _subtract(piece, ex)]
             if not pieces:
                 break
@@ -90,15 +96,17 @@ def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int,
     return result
 
 
-def sop_to_esop(table: PlaTable) -> EsopCubeList:
+def sop_to_esop(table: PlaTable, *, deadline: float | None = None) -> EsopCubeList:
     """Convert OR-semantics cubes to a valid ESOP by per-column disjointing.
 
     Output don't-care marks are treated as zeros: only '1' marks contribute.
+    ``deadline`` is a ``time.monotonic()`` value; once it passes,
+    ``SynthesisTimeout`` is raised.
     """
     full = (1 << table.n) - 1
     columns = [
         _disjoint_column([(care, value) for care, value, ones, _ in table.cubes
-                          if ones >> (table.m - 1 - j) & 1], full)
+                          if ones >> (table.m - 1 - j) & 1], full, deadline)
         for j in range(table.m)
     ]
     return _assemble(table.n, table.m, columns)

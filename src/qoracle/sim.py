@@ -15,9 +15,6 @@ from .pla import SpecTable, _word_dtype
 #: Hard cap for explicit 2^N statevector enumeration.
 SIM_LIMIT = 20
 
-MODE_MINIMAL = "minimal"
-MODE_PRESERVE = "preserve"
-
 
 @dataclass
 class VerificationReport:
@@ -102,18 +99,18 @@ def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[
     return ins, outs
 
 
-def verify_oracle(circuit: Circuit, spec: SpecTable, mode: str = MODE_MINIMAL) -> VerificationReport:
+def verify_oracle(circuit: Circuit, spec: SpecTable) -> VerificationReport:
     """Check a circuit against every specified minterm of a table.
 
     Function inputs are loaded onto the input-role qubits, ancillas start at
     zero, and the output-role qubits must reproduce each specified output bit
-    (don't-cares are skipped).  ``preserve`` mode additionally requires the
-    input qubits to still read the applied minterm afterwards.  All minterms
-    run at once as bit-planes, so the cost does not depend on the width.
+    (don't-cares are skipped).  An input qubit whose output role is also
+    ``input`` must still read its bit of the applied minterm afterwards: every
+    input of an ESOP oracle, none of a TBS one.  All minterms run at once as
+    bit-planes, so the cost does not depend on the width.
     """
-    if mode not in (MODE_MINIMAL, MODE_PRESERVE):
-        raise ValueError(f"unknown mode {mode!r}")
     ins, outs = _role_positions(circuit, spec)
+    kept = [j for j, q in enumerate(ins) if circuit.roles_out[q] == ROLE_INPUT]
     n, m = spec.n, spec.m
     minterms = spec.specified()
     count = len(minterms)
@@ -129,18 +126,19 @@ def verify_oracle(circuit: Circuit, spec: SpecTable, mode: str = MODE_MINIMAL) -
     bad = 0
     for q, expected, free in zip(outs, want, dc):
         bad |= (planes[q] ^ expected) & ~free
-    if mode == MODE_PRESERVE:
-        for q, x in zip(ins, xs):
-            bad |= planes[q] ^ x
+    for j in kept:
+        bad |= planes[ins[j]] ^ xs[j]
     if not bad:
         return report
 
-    got = _values([planes[q] for q in outs + ins], count)
+    got = _values([planes[q] for q in outs + [ins[j] for j in kept]], count)
     for p in np.flatnonzero(_values([bad], count)).tolist():
-        x_bits, bits = format(minterms[p], f"0{n}b"), format(int(got[p]), f"0{m + n}b")
+        x_bits = format(minterms[p], f"0{n}b")
+        bits = format(int(got[p]), f"0{m + len(kept)}b")
         expected, got_bits = spec.output_bits(minterms[p]), bits[:m]
-        if mode == MODE_PRESERVE:
-            expected, got_bits = f"{expected}|{x_bits}", f"{bits[:m]}|{bits[m:]}"
+        if kept:
+            expected += "|" + "".join(x_bits[j] for j in kept)
+            got_bits += "|" + bits[m:]
         report.mismatches.append((x_bits, expected, got_bits))
     return report
 

@@ -169,7 +169,7 @@ def test_criterion_06_esop_round_trip_property():
         lowered = circ.lower_polarity(
             esop.esop_to_circuit(esop.minimize_esop(esop.sop_to_esop(table)))
         )
-        if not sim.verify_oracle(lowered, spec, sim.MODE_PRESERVE).passed:
+        if not sim.verify_oracle(lowered, spec).passed:
             failures += 1
             continue
         # XOR shift: with the ancilla register at all-ones the output qubits

@@ -338,24 +338,50 @@ def test_bench_deterministic_apart_from_timing(tmp_path):
     assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
 
 
-def test_verify_roundtrip_and_corruption(tmp_path):
-    out = tmp_path / "c.qasm"
+def _synth_netlist(tmp_path, *method: str) -> Path:
     netlist = tmp_path / "c.json"
     assert main([
-        "synth", "--in", SQUAR5, "--method", "esop",
-        "--out", str(out), "--netlist", str(netlist),
+        "synth", "--in", SQUAR5, "--method", *method,
+        "--out", str(tmp_path / "c.qasm"), "--netlist", str(netlist),
     ]) == 0
-    assert main([
-        "verify", "--in", SQUAR5, "--circuit", str(netlist), "--mode", "preserve",
-    ]) == 0
+    return netlist
 
+
+@pytest.mark.parametrize("method", [["esop"], ["tbs"], ["tbs", "--bidirectional"]],
+                         ids=["esop", "tbs", "tbs-bidirectional"])
+def test_verify_roundtrip_and_corruption(tmp_path, method):
+    # The netlist's roles say which inputs must come back: all of an ESOP
+    # oracle's, none of a TBS one's.  No flag picks it.
+    netlist = _synth_netlist(tmp_path, *method)
+    assert main(["verify", "--in", SQUAR5, "--circuit", str(netlist)]) == 0
+
+    # An X on the first output qubit flips output bit 0 of every minterm.
     doc = json.loads(netlist.read_text())
-    doc["gates"] = doc["gates"][:-1]
+    first_output = [role for _, role in doc["roles"]].index("output")
+    doc["gates"].append({"kind": "x", "target": first_output, "controls": []})
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
-    assert main([
-        "verify", "--in", SQUAR5, "--circuit", str(broken), "--mode", "preserve",
-    ]) == 3
+    assert main(["verify", "--in", SQUAR5, "--circuit", str(broken)]) == 3
+
+
+def test_verify_checks_esop_inputs_come_back(tmp_path, capsys):
+    netlist = _synth_netlist(tmp_path, "esop")
+    doc = json.loads(netlist.read_text())
+    doc["gates"].append({"kind": "x", "target": 0, "controls": []})
+    netlist.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", SQUAR5, "--circuit", str(netlist)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "32/32 minterms checked: FAIL (32 mismatches)"
+    assert lines[1] == "  00000: expected 00000000|00000, got 00000000|10000"
+
+
+def test_verify_refuses_esop_rtt_netlist_against_its_source(tmp_path, capsys):
+    # The esop-rtt oracle computes the completed embedding on n + w inputs.
+    netlist = _synth_netlist(tmp_path, "esop-rtt")
+    capsys.readouterr()
+    assert main(["verify", "--in", SQUAR5, "--circuit", str(netlist)]) == 2
+    assert capsys.readouterr().err.startswith("error: 9 input qubits for an n=5 table")
 
 
 def test_verify_word_width_limit(tmp_path, capsys):

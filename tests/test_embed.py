@@ -89,6 +89,18 @@ def test_min_duplication_finishes_rows_of_40_dontcares():
     assert result.verification.passed and result.verification.checked == 8
 
 
+def test_min_duplication_stops_at_the_deadline():
+    # Every row completes one of 16 patterns, so from row 16 on each row compares all 16.
+    table = pla.PlaTable(n=20, m=4, cubes=[(0, 0, 0, 0b1111)])
+    with pytest.raises(SynthesisTimeout, match="^don't-care resolution gave up at row 0 of "):
+        embed.resolve_dontcares(pla.expand(table), embed.RESOLVE_MIN_DUPLICATION,
+                                deadline=time.monotonic() - 1)
+    started = time.monotonic()
+    with pytest.raises(SynthesisTimeout, match="^don't-care resolution gave up"):
+        run_synthesis(table, "esop", dc_minimize=True, timeout_s=0.5)
+    assert time.monotonic() - started < 2
+
+
 def test_resolve_without_dontcares_is_identity():
     spec = spec_of(2, 1, {0: 1, 1: 0})
     assert embed.resolve_dontcares(spec) is spec

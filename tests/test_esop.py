@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qoracle import circuit as circ
 from qoracle import esop, pla, sim
+from qoracle.cli import run_synthesis
 from qoracle.errors import SynthesisTimeout
 
 from conftest import (as_cubes, cube, from_cubes, gate_controls, pla_tables,
@@ -60,6 +61,35 @@ def test_sop_to_esop_disjoint_input_unchanged():
 @given(pla_tables(max_n=4, max_m=3))
 def test_sop_to_esop_matches_or_semantics(table):
     assert truth_table(esop.sop_to_esop(table)) == or_table(table)
+
+
+def overlapping_cubes() -> pla.PlaTable:
+    """100 seeded 20-input cubes, each column a literal with probability 0.45, polarity 50/50."""
+    rng = random.Random(5)
+    cubes = []
+    for _ in range(100):
+        literals = [(1 << k, rng.random() < 0.5) for k in reversed(range(20))
+                    if rng.random() < 0.45]
+        cubes.append((sum(bit for bit, _ in literals),
+                      sum(bit for bit, one in literals if one), 1, 0))
+    return pla.PlaTable(n=20, m=1, cubes=cubes)
+
+
+def test_sop_to_esop_stops_at_the_deadline():
+    table = pla.parse_pla(".i 3\n.o 1\n1-- 1\n-1- 1\n111 1\n.e")
+    past = time.monotonic() - 1
+    with pytest.raises(SynthesisTimeout, match="^ESOP conversion ran out of time$"):
+        esop.sop_to_esop(table, deadline=past)
+    assert esop.sop_to_esop(table, deadline=time.monotonic() + 60) == esop.sop_to_esop(table)
+    # Fully specified rows take the fast path, which never reads the clock.
+    minterms = pla.parse_pla(".i 3\n.o 1\n101 1\n111 1\n101 1\n.e")
+    assert esop.sop_to_esop(minterms, deadline=past) == esop.sop_to_esop(minterms)
+
+    # Disjoint-sharp splits these 100 cubes into about 19 000 pieces.
+    started = time.monotonic()
+    with pytest.raises(SynthesisTimeout, match="^ESOP conversion ran out of time$"):
+        run_synthesis(overlapping_cubes(), "esop", timeout_s=0.5)
+    assert time.monotonic() - started < 2
 
 
 def test_minimize_merges_distance_one():
@@ -152,7 +182,7 @@ def test_end_to_end_oracle_and_xor_shift(table):
         esop.esop_to_circuit(esop.minimize_esop(esop.sop_to_esop(table)))
     )
     assert lowered.width == table.n + table.m
-    report = sim.verify_oracle(lowered, spec, sim.MODE_PRESERVE)
+    report = sim.verify_oracle(lowered, spec)
     assert report.passed
 
     # Ancilla set to all-ones reads back the complement of the resolved bits.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qoracle
-from qoracle import cli, emit, pla, tbs
+from qoracle import cli, emit, pla, sim, tbs
 
 from conftest import BENCH_DIR, pla_tables
 
@@ -40,9 +40,15 @@ def test_option_matrix_matches_independent_checker(table, method, minimize, dc_m
     spec = oracle_check.spec_from_pla(text)
     if partial:
         spec.dc = [dc | _uncovered(table) for dc in spec.dc]
-    checked = oracle_check.check_netlist(emit.to_json(result.circuit), spec)
+    netlist = emit.to_json(result.circuit)
+    checked = oracle_check.check_netlist(netlist, spec)
     assert checked.mismatches == 0
     assert checked.width == result.report.qubits
+    # What ``qoracle verify`` runs; an esop-rtt netlist computes the completed
+    # embedding on n + w inputs, not the table.
+    if method != "esop-rtt":
+        report = sim.verify_oracle(emit.from_json(netlist), pla.expand(table, partial=partial))
+        assert report.passed, report.mismatches
 
 
 def test_tracer_fires_every_expected_span():

@@ -65,17 +65,17 @@ def test_verify_oracle_passes_and_catches_corruption():
     oracle = esop.esop_to_circuit(cubes)
     lowered = circ.lower_polarity(oracle)
     spec = pla.expand(table)
-    report = sim.verify_oracle(lowered, spec, sim.MODE_PRESERVE)
+    report = sim.verify_oracle(lowered, spec)
     assert report.passed and report.checked == 4
 
     broken = lowered.replace_gates(lowered.gates[:-1])
-    bad = sim.verify_oracle(broken, spec, sim.MODE_PRESERVE)
+    bad = sim.verify_oracle(broken, spec)
     assert not bad.passed and len(bad.mismatches) >= 1
 
 
 def test_verify_oracle_empty_spec():
     oracle = ten_of_diamonds_oracle()
-    report = sim.verify_oracle(oracle, spec_table(6, 1, {}), sim.MODE_MINIMAL)
+    report = sim.verify_oracle(oracle, spec_table(6, 1, {}))
     assert report.passed and report.checked == 0
 
 
@@ -84,13 +84,13 @@ def test_verify_oracle_skips_dontcare_bits():
     c = circ.Circuit(2, [circ.mcx(1, 1 << 0)],
                      roles_in=("input", "ancilla"),
                      roles_out=("input", "output"))
-    assert sim.verify_oracle(c, spec, sim.MODE_PRESERVE).passed
+    assert sim.verify_oracle(c, spec).passed
 
 
 def test_verify_oracle_role_mismatch():
     oracle = ten_of_diamonds_oracle()
     with pytest.raises(QOracleError, match="6 input qubits for an n=3 table"):
-        sim.verify_oracle(oracle, spec_table(3, 1, {}), sim.MODE_MINIMAL)
+        sim.verify_oracle(oracle, spec_table(3, 1, {}))
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,38 +134,48 @@ def test_bitplane_simulator_matches_reference_at_any_width(c, data):
     assert sim.apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns]
 
     # Random roles: n input qubits (the rest ancillas at zero), m outputs.
+    # ``claimed`` gives the input qubits that are not outputs the output role
+    # "input", a promise to hand their bit back; ``oracle`` promises nothing.
     n = data.draw(st.integers(1, min(w, 6)))
     m = data.draw(st.integers(1, min(w, 4)))
     ins = sorted(data.draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n, unique=True)))
     outs = sorted(data.draw(st.lists(st.integers(0, w - 1), min_size=m, max_size=m, unique=True)))
-    oracle = circ.Circuit(
-        w, c.gates,
-        tuple("input" if q in ins else "ancilla" for q in range(w)),
-        tuple("output" if q in outs else "garbage" for q in range(w)),
-    )
+    roles_in = tuple("input" if q in ins else "ancilla" for q in range(w))
+    oracle = circ.Circuit(w, c.gates, roles_in,
+                          tuple("output" if q in outs else "garbage" for q in range(w)))
+    claimed = circ.Circuit(w, c.gates, roles_in, tuple(
+        "output" if q in outs else "input" if q in ins else "garbage" for q in range(w)))
+    kept = [j for j, q in enumerate(ins) if q not in outs]
 
     def qubits(state, qs):
-        return int("".join(str(state >> (w - 1 - q) & 1) for q in qs), 2)
+        return "".join(str(state >> (w - 1 - q) & 1) for q in qs)
 
-    entries, actual, preserved = {}, {}, True
-    for x in data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)):
+    entries, actual, ends = {}, {}, {}
+    for x in sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))):
         start = sum(1 << (w - 1 - q) for j, q in enumerate(ins) if x >> (n - 1 - j) & 1)
-        end = reference_apply(c, start)
-        actual[x] = qubits(end, outs)
+        ends[x] = end = reference_apply(c, start)
+        actual[x] = int(qubits(end, outs), 2)
         dc = data.draw(st.integers(0, (1 << m) - 1))
         entries[x] = (actual[x] & ~dc, dc)
-        preserved = preserved and qubits(end, ins) == x
     spec = spec_table(n, m, entries)
-    report = sim.verify_oracle(oracle, spec, sim.MODE_MINIMAL)
+    report = sim.verify_oracle(oracle, spec)
     assert report.passed and report.checked == report.total_minterms == len(entries)
-    assert sim.verify_oracle(oracle, spec, sim.MODE_PRESERVE).passed == preserved
+
+    # Verification passes exactly when the claimed qubits end holding their minterm.
+    claims = []
+    for x, end in ends.items():
+        x_bits = format(x, f"0{n}b")
+        held, got = "".join(x_bits[j] for j in kept), qubits(end, [ins[j] for j in kept])
+        if got != held:
+            claims.append((x_bits, f"{spec.output_bits(x)}|{held}", f"{qubits(end, outs)}|{got}"))
+    assert sim.verify_oracle(claimed, spec).mismatches == claims
 
     # Demand the opposite of one output bit of one minterm: only it fails.
     x = data.draw(st.sampled_from(sorted(entries)))
     bit = 1 << data.draw(st.integers(0, m - 1))
     dc = entries[x][1] & ~bit
     wrong = spec_table(n, m, {**entries, x: ((actual[x] ^ bit) & ~dc, dc)})
-    bad = sim.verify_oracle(oracle, wrong, sim.MODE_MINIMAL)
+    bad = sim.verify_oracle(oracle, wrong)
     assert bad.mismatches == [
         (format(x, f"0{n}b"), wrong.output_bits(x), format(actual[x], f"0{m}b"))
     ]
