@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,12 +19,14 @@ from .errors import (
     SynthesisTimeout,
     TooWide,
     VerificationFailed,
-    check_deadline,
 )
 
 METHODS = ("esop", "esop-rtt", "tbs")
 
 COMPLETIONS = ("hamming", "naive")
+
+#: The longest ``timeout_s`` accepted; ``setitimer`` overflows a few decades above it.
+MAX_TIMEOUT_S = 1e6
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,6 +40,19 @@ class SynthResult:
     report: circ.MetricsReport
     embedding: embed.EmbeddingReport | None
     verification: sim.VerificationReport
+
+
+def _on_alarm(timeout_s: float, signum, frame) -> None:
+    """Raise ``SynthesisTimeout`` naming the stage that ``run_synthesis`` was running.
+
+    The stage is the frame ``run_synthesis`` called, or ``run_synthesis``
+    itself between stages.
+    """
+    while (frame.f_code is not _RUN_SYNTHESIS and frame.f_back is not None
+           and frame.f_back.f_code is not _RUN_SYNTHESIS):
+        frame = frame.f_back
+    raise SynthesisTimeout(f"gave up after {timeout_s:g} s in "
+                           f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
 
 
 def run_synthesis(
@@ -56,52 +72,66 @@ def run_synthesis(
     Raises TooWide / GateLimitExceeded / SynthesisTimeout when the method
     cannot handle the function within its limits, and VerificationFailed if
     the finished circuit disagrees with the table.
+
+    ``timeout_s`` bounds everything from expansion through verification with
+    one SIGALRM interval timer (``ITIMER_REAL``), so it works on POSIX and on
+    the main thread only, and there is no cooperative fallback.  Python runs
+    the handler between bytecodes, so a numpy call in progress finishes
+    first.  The timer is disarmed and the previous SIGALRM handler restored
+    on every exit.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if completion not in COMPLETIONS:
         raise ValueError(f"unknown completion {completion!r}")
-    started = time.monotonic()
-    deadline = started + timeout_s
-    spec = pla.expand(table, partial=partial)
-    check_deadline(deadline, "gave up after expansion")
-    resolved = embedding = None
-    if method != "esop" or dc_minimize:
-        policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
-        resolved = embed.resolve_dontcares(spec, policy, deadline=deadline)
-    if method != "esop":
-        # Stages are looked up at call time, so a patched ``embed`` attribute is the one run.
-        partial_spec, embedding = embed.rtt_embed(resolved)
-        total = getattr(embed, f"complete_onto_{completion}")(partial_spec, deadline=deadline)
-        embed.finish_report(embedding, partial_spec, total)
+    if dc_minimize and method == "esop":
+        raise ValueError("dc_minimize resolves don't-cares for the embedding, "
+                         "which method 'esop' does not build")
+    _require_positive("timeout_s", timeout_s, MAX_TIMEOUT_S)
+    previous = signal.signal(signal.SIGALRM, functools.partial(_on_alarm, timeout_s))
+    try:
+        signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        try:
+            started = time.monotonic()
+            spec = pla.expand(table, partial=partial)
+            embedding = None
+            if method != "esop":
+                # Stages are looked up at call time, so a patched attribute is the one run.
+                policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
+                resolved = embed.resolve_dontcares(spec, policy)
+                partial_spec, embedding = embed.rtt_embed(resolved)
+                total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
+                embed.finish_report(embedding, partial_spec, total)
 
-    if method == "tbs":
-        raw = tbs.tbs_synthesize(total, direction=direction, deadline=deadline)
-        check_spec = resolved
-    else:
-        if method == "esop-rtt":
-            # The completed permutation's minterms are already a disjoint ESOP.
-            check_spec = embed.reexpress(total, embedding, table.m)
-            cube_list = esop.spec_to_esop(check_spec)
-        elif dc_minimize:
-            check_spec, cube_list = spec, esop.spec_to_esop(resolved)
-        else:
-            check_spec, cube_list = spec, esop.sop_to_esop(table, deadline=deadline)
-        if minimize:
-            cube_list = esop.minimize_esop(cube_list, deadline=deadline)
-        raw = esop.esop_to_circuit(cube_list, method=method)
-    raw.source = source
-    check_deadline(deadline, "gave up after the %s backend", method)
+            if method == "tbs":
+                raw = tbs.tbs_synthesize(total, direction=direction)
+                check_spec = resolved
+            else:
+                if method == "esop-rtt":
+                    # The completed permutation's minterms are already a disjoint ESOP.
+                    check_spec = embed.reexpress(total, embedding, table.m)
+                    cube_list = esop.spec_to_esop(check_spec)
+                else:
+                    check_spec, cube_list = spec, esop.sop_to_esop(table)
+                if minimize:
+                    cube_list = esop.minimize_esop(cube_list)
+                raw = esop.esop_to_circuit(cube_list, method=method)
+            raw.source = source
 
-    lowered = circ.lower_polarity(raw)
-    elapsed_us = int((time.monotonic() - started) * 1e6)
-    report = circ.metrics(lowered, elapsed_us)
-
-    check_deadline(deadline, "gave up before verification")
-    verification = sim.verify_oracle(lowered, check_spec)
+            lowered = circ.lower_polarity(raw)
+            report = circ.metrics(lowered, int((time.monotonic() - started) * 1e6))
+            verification = sim.verify_oracle(lowered, check_spec)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     if not verification.passed:
         raise VerificationFailed(verification)
     return SynthResult(lowered, report, embedding, verification)
+
+
+# Taken once, since a tracer may rebind the module's ``run_synthesis`` to a wrapper.
+_RUN_SYNTHESIS = run_synthesis.__code__
 
 
 # --- bench harness ---------------------------------------------------------
@@ -130,14 +160,15 @@ def bench_row(task: tuple[str, str, float, str]) -> list:
 
 # --- subcommand implementations ---------------------------------------------
 
-def _require_positive(flag: str, value: float) -> None:
-    """Reject zero, negative, infinite and NaN option values."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{flag} must be a finite number above 0, got {value}")
+def _require_positive(flag: str, value: float, most: float = math.inf) -> None:
+    """Reject zero, negative, infinite and NaN values, and values above ``most``."""
+    if not 0 < value < math.inf or value > most:
+        limit = f" and at most {most:g}" if most < math.inf else ""
+        raise ValueError(f"{flag} must be a finite number above 0{limit}, got {value}")
 
 
 def _cmd_synth(args) -> int:
-    _require_positive("--timeout-s", args.timeout_s)
+    _require_positive("--timeout-s", args.timeout_s, MAX_TIMEOUT_S)
     table = pla.parse_pla(Path(args.infile).read_text())
     result = run_synthesis(
         table,
@@ -171,7 +202,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _require_positive("--timeout-s", args.timeout_s)
+    _require_positive("--timeout-s", args.timeout_s, MAX_TIMEOUT_S)
     _require_positive("--jobs", args.jobs)
     bench_dir = Path(args.dir)
     if not bench_dir.is_dir():
@@ -191,6 +222,9 @@ def _cmd_bench(args) -> int:
     # Opened first, so a bad path fails before the matrix is synthesized.
     with Path(args.csv).open("w", newline="") as fh:
         if args.jobs > 1:
+            # Imported here: only a parallel bench pays for the pool's import.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 rows = list(pool.map(bench_row, tasks))
         else:
@@ -302,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partial", action="store_true",
                    help="leave minterms covered by no cube unspecified")
     p.add_argument("--dc-minimize", action="store_true",
-                   help="resolve output don't-cares to minimize duplication")
+                   help="resolve output don't-cares to minimize duplication (esop-rtt, tbs)")
     p.add_argument("--timeout-s", type=float, default=600.0)
     p.add_argument("--completion", choices=COMPLETIONS, default="hamming")
     p.set_defaults(func=_cmd_synth)

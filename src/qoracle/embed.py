@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QOracleError, TooWide, check_deadline
+from .errors import QOracleError, TooWide
 from .pla import EXPANSION_LIMIT, UNSPECIFIED, SpecTable, _fill
 
 RESOLVE_ZEROS = "zeros"
@@ -68,8 +68,7 @@ def max_output_multiplicity(spec: SpecTable) -> int:
     return int(np.unique(values, return_counts=True)[1].max()) if len(values) else 0
 
 
-def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS, *,
-                      deadline: float | None = None) -> SpecTable:
+def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable:
     """Assign every don't-care output bit.
 
     ``zeros`` clears them; ``min-duplication`` walks the rows with
@@ -77,8 +76,7 @@ def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS, *,
     whose pattern currently has the lowest multiplicity, ties toward the
     all-zero assignment.  Completions come in ascending order, so the first
     pattern not yet used wins outright; only a row whose every completion is
-    taken compares them all.  ``deadline`` is a ``time.monotonic()`` value,
-    checked every 256 rows with don't-cares.
+    taken compares them all.
     """
     if policy not in (RESOLVE_ZEROS, RESOLVE_MIN_DUPLICATION):
         raise ValueError(f"unknown policy {policy!r}")
@@ -88,11 +86,7 @@ def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS, *,
     if policy == RESOLVE_MIN_DUPLICATION:
         rows = np.flatnonzero(spec.dc)
         counts = Counter(spec.entries[(spec.dc == 0) & (spec.entries != UNSPECIFIED)].tolist())
-        for i, (x, value, dc) in enumerate(zip(rows.tolist(), entries[rows].tolist(),
-                                               spec.dc[rows].tolist())):
-            if not i % 256:
-                check_deadline(deadline, "don't-care resolution gave up at row %d of %d",
-                               i, len(rows))
+        for x, value, dc in zip(rows.tolist(), entries[rows].tolist(), spec.dc[rows].tolist()):
             chosen = next((c for c in _fill(value, dc) if not counts[c]), None)
             if chosen is None:
                 chosen = min(_fill(value, dc), key=lambda c: (counts[c], c))
@@ -154,28 +148,21 @@ def _unused(partial: ReversibleSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(partial.perm == UNSPECIFIED), np.flatnonzero(free_out)
 
 
-def complete_onto_naive(partial: ReversibleSpec, *,
-                        deadline: float | None = None) -> ReversibleSpec:
-    """Pair unused inputs and outputs in ascending order, first to first.
-
-    This is one linear pass, so ``deadline`` is not checked.
-    """
+def complete_onto_naive(partial: ReversibleSpec) -> ReversibleSpec:
+    """Pair unused inputs and outputs in ascending order, first to first."""
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
     perm[unused_in] = unused_out
     return ReversibleSpec(partial.width, perm, partial.roles_in, partial.roles_out)
 
 
-def complete_onto_hamming(partial: ReversibleSpec, *,
-                          deadline: float | None = None) -> ReversibleSpec:
+def complete_onto_hamming(partial: ReversibleSpec) -> ReversibleSpec:
     """Pair unused inputs to the closest unused outputs.
 
     Pass 1 maps every unused input that is itself an unused output to
     itself; pass 2 gives the leftovers, in ascending order, the unused
     output at minimal Hamming distance (ties to the smallest value), one
-    numpy scan over the remaining outputs per leftover.  ``deadline`` is a
-    ``time.monotonic()`` value, checked every 256 leftover rows of pass 2;
-    once it passes, ``SynthesisTimeout`` is raised.
+    numpy scan over the remaining outputs per leftover.
     """
     unused_in, unused_out = _unused(partial)
     perm = partial.perm.copy()
@@ -186,10 +173,7 @@ def complete_onto_hamming(partial: ReversibleSpec, *,
     # Distances fit in 7 bits, so the top bit marks a taken output; argmin
     # returns the first minimum, which is the smallest value.
     taken = np.zeros(len(remaining), dtype=np.uint8)
-    for i, p in enumerate(leftover_in):
-        if not i % 256:
-            check_deadline(deadline, "completion gave up at leftover row %d of %d",
-                           i, len(leftover_in))
+    for p in leftover_in:
         best = int((np.bitwise_count(remaining ^ p) | taken).argmin())
         taken[best] = 0x80
         perm[p] = remaining[best]

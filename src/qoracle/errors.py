@@ -1,10 +1,9 @@
-"""Exception types shared across the toolkit, one per CLI exit code, and the deadline check.
+"""Exception types shared across the toolkit, one per CLI exit code.
 
 ``main`` exits 2 on ``QOracleError``, 3 on ``VerificationFailed`` and 4 on
 ``TooWide``, ``GateLimitExceeded`` and ``SynthesisTimeout``; the bench
 harness and the benchmark scripts catch the exit-4 classes by name.
 """
-import time
 
 
 class QOracleError(Exception):
@@ -33,12 +32,3 @@ class VerificationFailed(QOracleError):
         super().__init__(report.summary())
         self.report = report
 
-
-def check_deadline(deadline: float | None, message: str, *args) -> None:
-    """Raise ``SynthesisTimeout(message % args)`` once ``time.monotonic()`` passes ``deadline``.
-
-    ``deadline`` None never expires.  The message is formatted only when it
-    raises, so a check inside a hot loop costs one clock read.
-    """
-    if deadline is not None and time.monotonic() > deadline:
-        raise SynthesisTimeout(message % args)

@@ -9,7 +9,7 @@ rewritten into an equivalent pair that may unlock further merging.  Every
 step is deterministic and depends on the order cubes are inserted.
 
 An output column whose cubes are all fully specified (every esop-rtt column,
-and esop with don't-care minimization) first has its minterms paired in bulk
+and every column of a table of minterms) first has its minterms paired in bulk
 with numpy: repeated minterms cancel by parity, then adjacent pairs merge one
 mask bit at a time, least significant first.  The insertion cascade gets the
 much shorter list that is left.  Each distance-2 sweep finds its pairs with
@@ -24,15 +24,12 @@ import numpy as np
 
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
-from .errors import check_deadline
 from .pla import PlaTable, SpecTable, _word_dtype
 
 Row = tuple[int, int, int]
 
 #: Most minimization passes, each a distance-2 sweep over the changed columns.
 MAX_PASSES = 10
-
-_TIMEOUT = "ESOP minimization ran out of time"
 
 
 @dataclass
@@ -61,12 +58,8 @@ def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, 
     return pieces
 
 
-def _disjoint_column(cubes: list[tuple[int, int]], full: int,
-                     deadline: float | None) -> list[tuple[int, int]]:
-    """Make an OR cube list pairwise disjoint (then OR equals XOR).
-
-    The deadline is checked every 256 earlier cubes a cube is cut against.
-    """
+def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
+    """Make an OR cube list pairwise disjoint (then OR equals XOR)."""
     result: list[tuple[int, int]] = []
     minterms: set[int] = set()
     dashed: list[tuple[int, int]] = []
@@ -81,9 +74,7 @@ def _disjoint_column(cubes: list[tuple[int, int]], full: int,
             result.append(cube)
             continue
         pieces = [cube]
-        for i, ex in enumerate(result):
-            if not i % 256:
-                check_deadline(deadline, "ESOP conversion ran out of time")
+        for ex in result:
             pieces = [p for piece in pieces for p in _subtract(piece, ex)]
             if not pieces:
                 break
@@ -96,17 +87,15 @@ def _disjoint_column(cubes: list[tuple[int, int]], full: int,
     return result
 
 
-def sop_to_esop(table: PlaTable, *, deadline: float | None = None) -> EsopCubeList:
+def sop_to_esop(table: PlaTable) -> EsopCubeList:
     """Convert OR-semantics cubes to a valid ESOP by per-column disjointing.
 
     Output don't-care marks are treated as zeros: only '1' marks contribute.
-    ``deadline`` is a ``time.monotonic()`` value; once it passes,
-    ``SynthesisTimeout`` is raised.
     """
     full = (1 << table.n) - 1
     columns = [
         _disjoint_column([(care, value) for care, value, ones, _ in table.cubes
-                          if ones >> (table.m - 1 - j) & 1], full, deadline)
+                          if ones >> (table.m - 1 - j) & 1], full)
         for j in range(table.m)
     ]
     return _assemble(table.n, table.m, columns)
@@ -241,20 +230,17 @@ def _distance2_pairs(column: _ColumnSet) -> list[tuple[int, int]]:
     return sorted(set(zip(*pairs.T.tolist())))
 
 
-def _distance2_sweep(column: _ColumnSet, deadline: float | None) -> bool:
+def _distance2_sweep(column: _ColumnSet) -> bool:
     """One pass of conditional distance-2 rewrites over a saturated column.
 
-    Pairs from ``_distance2_pairs`` are visited in ascending id order, and
-    the deadline is checked every 256 pairs.  A pair is rewritten only when
-    one rewritten cube immediately cancels or merges with a third cube, so
-    every commit shrinks the set.
+    Pairs from ``_distance2_pairs`` are visited in ascending id order.  A
+    pair is rewritten only when one rewritten cube immediately cancels or
+    merges with a third cube, so every commit shrinks the set.
     """
     column.dirty = False
     live = column.live
     changed = False
-    for count, (id_a, id_b) in enumerate(_distance2_pairs(column)):
-        if not count % 256:
-            check_deadline(deadline, _TIMEOUT)
+    for id_a, id_b in _distance2_pairs(column):
         a, b = live.get(id_a), live.get(id_b)
         if a is None or b is None:
             continue
@@ -311,20 +297,18 @@ def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
     return list(zip(care[order].tolist(), value[order].tolist()))
 
 
-def _column_cubes(cubes: EsopCubeList, deadline: float | None):
+def _column_cubes(cubes: EsopCubeList):
     """Yield each output column's cubes in row order, pairing minterm columns.
 
     A column's rows are those whose output mask, one numpy array for all
     rows, has its bit set; a column is paired by ``_pair_minterms`` only when
-    every cube in it is fully specified.  The deadline is checked before each
-    column.
+    every cube in it is fully specified.
     """
     rows, n, m = cubes.cubes, cubes.n, cubes.m
     outs = np.array([row[2] for row in rows], _word_dtype(m))
     cube_masks = [row[:2] for row in rows]
     table = np.array(cube_masks, dtype=np.int64).reshape(-1, 2) if n <= _PAIR_MAX_N else None
     for j in range(m):
-        check_deadline(deadline, _TIMEOUT)
         index = np.flatnonzero(outs >> (m - 1 - j) & 1)
         if table is not None and (table[index, 0] == (1 << n) - 1).all():
             yield _pair_minterms(table[index, 1], n)
@@ -332,19 +316,17 @@ def _column_cubes(cubes: EsopCubeList, deadline: float | None):
             yield [cube_masks[i] for i in index.tolist()]
 
 
-def minimize_esop(cubes: EsopCubeList, deadline: float | None = None) -> EsopCubeList:
+def minimize_esop(cubes: EsopCubeList) -> EsopCubeList:
     """Shrink an ESOP cube list without changing its XOR semantics.
 
     Each pass saturates distance-0 cancellation and distance-1 merging per
     output column, then tries conditional distance-2 rewrites; it stops
     after a pass with no reduction or after ``MAX_PASSES`` passes.  The
-    deadline is checked before each column is built and before each pass.
-    The result never has more cubes than the input.
+    result never has more cubes than the input.
     """
-    columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes, deadline)]
+    columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes)]
     for _ in range(MAX_PASSES):
-        check_deadline(deadline, _TIMEOUT)
-        if not any([_distance2_sweep(col, deadline) for col in columns if col.dirty]):
+        if not any([_distance2_sweep(col) for col in columns if col.dirty]):
             break
     result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
     return cubes if len(result.cubes) > len(cubes.cubes) else result

@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuit import Circuit, _from_msb_first, mcx
 from .embed import ReversibleSpec
-from .errors import GateLimitExceeded, QOracleError, check_deadline
+from .errors import GateLimitExceeded, QOracleError
 from .sim import _planes
 
 UNIDIRECTIONAL = "unidirectional"
@@ -115,13 +115,8 @@ def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> Non
         drop ^= low
 
 
-def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
-                   deadline: float | None = None) -> Circuit:
-    """Synthesize an MCT cascade realizing the given permutation table.
-
-    ``deadline`` is a ``time.monotonic()`` value; rows are abandoned with
-    ``SynthesisTimeout`` once it passes.
-    """
+def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL) -> Circuit:
+    """Synthesize an MCT cascade realizing the given permutation table."""
     if direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
     if not spec.is_bijection():
@@ -153,7 +148,6 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
             at = _lowest(sources, moved)
             want, value = _read(sources, at, full), _read(values, at, full)
             row = _from_msb_first(want, width)
-        check_deadline(deadline, "gave up at row %d of %d", row, size)
         planes, gates = values, out_gates
         if not unidirectional:
             source = _read(sources, _find(values, want, full), full)

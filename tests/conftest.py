@@ -1,6 +1,9 @@
 """Shared strategies and fixtures for the test suite."""
 from __future__ import annotations
 
+import signal
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -118,3 +121,31 @@ def bench_tables() -> dict[str, pla.PlaTable]:
     for path in sorted(BENCH_DIR.glob("*.pla")):
         tables[path.stem] = pla.parse_pla(path.read_text())
     return tables
+
+
+def slow(fn, seconds: float = 3.0):
+    """``fn`` behind a Python busy loop of ``seconds``, which a signal handler can interrupt.
+
+    The wrapper's code and globals carry ``fn``'s name and module, so the
+    frame it runs in reads as a frame of ``fn``, the way a slow ``fn`` would.
+    """
+    def wrapper(*args, **kwargs):
+        stop = time.monotonic() + seconds
+        while time.monotonic() < stop:
+            pass
+        return fn(*args, **kwargs)
+
+    code = wrapper.__code__.replace(co_name=fn.__name__)
+    return types.FunctionType(code, {**wrapper.__globals__, "__name__": fn.__module__},
+                              fn.__name__, None, wrapper.__closure__)
+
+
+@pytest.fixture
+def caller_alarm():
+    """A SIGALRM handler of the caller's own, installed for the test and removed after it."""
+    def handler(signum, frame):
+        raise AssertionError("the caller's SIGALRM handler ran")
+
+    before = signal.signal(signal.SIGALRM, handler)
+    yield handler
+    signal.signal(signal.SIGALRM, before)

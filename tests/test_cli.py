@@ -1,23 +1,32 @@
 """Command-line behaviors: pipelines, bench harness, exit codes."""
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qoracle
 from qoracle import circuit as circ
-from qoracle import cli, embed, emit, pla, sim, tbs
+from qoracle import cli, embed, emit, esop, pla, sim, tbs
 from qoracle.cli import main
+from qoracle.errors import GateLimitExceeded, SynthesisTimeout, TooWide, VerificationFailed
 
-from conftest import BENCH_DIR, cube
+from conftest import BENCH_DIR, cube, slow
 
 SQUAR5 = str(BENCH_DIR / "squar5.pla")
 
@@ -118,7 +127,7 @@ def test_synth_fractional_timeout(tmp_path, capsys):
     ["--method", "esop-rtt", "--completion", "naive"],
 ], ids=["esop", "esop-rtt-naive"])
 def test_synth_timeout_bounds_unminimized_esop(tmp_path, capsys, method):
-    # No stage on these paths checks the deadline itself; run_synthesis does between stages.
+    # The timer bounds these paths as it bounds every other.
     out = tmp_path / "c.qasm"
     assert main([
         "synth", "--in", SQUAR5, *method, "--no-minimize", "--timeout-s", "1e-9",
@@ -139,7 +148,7 @@ def _assert_usage_error(code, capsys, flag):
     assert "Traceback" not in captured.out + captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf", "1e12"])
 @pytest.mark.parametrize("method", ["esop", "tbs"])
 def test_synth_rejects_non_positive_timeout(tmp_path, capsys, value, method):
     code = main([
@@ -150,7 +159,7 @@ def test_synth_rejects_non_positive_timeout(tmp_path, capsys, value, method):
     assert not (tmp_path / "c.qasm").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "1e12"])
 def test_bench_rejects_non_positive_timeout(tmp_path, capsys, value):
     code = main([
         "bench", "--dir", str(BENCH_DIR), "--csv", str(tmp_path / "r.csv"),
@@ -188,16 +197,30 @@ def test_synth_naive_completion(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in BENCH_DIR.glob("*.pla")))
 def test_run_synthesis_dc_minimize_verifies(bench_tables, name):
+    # Min-duplication serves the embedding, so method esop refuses it.
     table = bench_tables[name]
-    result = cli.run_synthesis(table, "esop", dc_minimize=True)
-    assert result.verification.passed
-    assert result.circuit.width == table.n + table.m
+    with pytest.raises(ValueError, match="dc_minimize"):
+        cli.run_synthesis(table, "esop", dc_minimize=True)
+    try:
+        result = cli.run_synthesis(table, "esop-rtt", dc_minimize=True)
+    except TooWide:
+        assert name in ("apex4", "b11", "ex5")
+    else:
+        assert result.verification.passed
 
 
 def test_synth_dc_minimize(tmp_path, capsys):
+    out = tmp_path / "c.qasm"
     assert main([
-        "synth", "--in", SQUAR5, "--method", "esop", "--dc-minimize",
-        "--out", str(tmp_path / "c.qasm"),
+        "synth", "--in", SQUAR5, "--method", "esop", "--dc-minimize", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: dc_minimize resolves don't-cares for the embedding, "
+        "which method 'esop' does not build"]
+    assert not out.exists()
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "esop-rtt", "--dc-minimize", "--out", str(out),
     ]) == 0
     assert capsys.readouterr().out.rstrip().endswith("PASS")
 
@@ -235,6 +258,78 @@ def test_run_synthesis_looks_stages_up_at_call_time(monkeypatch, method):
         monkeypatch.setattr(module, attr, record)
     cli.run_synthesis(pla.parse_pla(Path(SQUAR5).read_text()), method)
     assert calls == Counter(STAGES[method])
+
+
+#: Every stage run_synthesis calls: STAGES plus expansion, resolution and cube mapping.
+TIMED_STAGES = [
+    (method, direction, stage)
+    for method, direction in (("esop", tbs.UNIDIRECTIONAL), ("esop-rtt", tbs.UNIDIRECTIONAL),
+                              ("tbs", tbs.UNIDIRECTIONAL), ("tbs", tbs.BIDIRECTIONAL))
+    for stage in ("pla.expand", *STAGES[method],
+                  *(("embed.resolve_dontcares",) if method != "esop" else ()),
+                  *(("esop.esop_to_circuit",) if method != "tbs" else ()))
+]
+
+
+def _assert_alarm_restored(handler):
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("method,direction,stage", TIMED_STAGES,
+                         ids=[f"{m}{'-bidirectional' * (d == tbs.BIDIRECTIONAL)}-{s}"
+                              for m, d, s in TIMED_STAGES])
+def test_timeout_names_the_running_stage(monkeypatch, caller_alarm, method, direction, stage):
+    module, attr = stage.split(".")
+    module = getattr(qoracle, module)
+    monkeypatch.setattr(module, attr, slow(getattr(module, attr)))
+    table = pla.parse_pla(Path(SQUAR5).read_text())
+    started = time.monotonic()
+    with pytest.raises(SynthesisTimeout,
+                       match=f"^gave up after 0.2 s in {re.escape('qoracle.' + stage)}$"):
+        cli.run_synthesis(table, method, direction=direction, timeout_s=0.2)
+    assert time.monotonic() - started < 1
+    _assert_alarm_restored(caller_alarm)
+
+
+def _slow_lowering(monkeypatch):
+    monkeypatch.setattr(circ, "lower_polarity", slow(circ.lower_polarity))
+
+
+def _gate_limit_5(monkeypatch):
+    monkeypatch.setattr(tbs, "GATE_LIMIT", 5)
+
+
+def _failing_verification(monkeypatch):
+    failing = sim.VerificationReport(32, 32, [("00000", "000000", "000001")])
+    monkeypatch.setattr(sim, "verify_oracle", lambda *args: failing)
+
+
+@pytest.mark.parametrize("name,method,patch,timeout_s,raised", [
+    ("squar5", "esop", None, 600, None),
+    ("squar5", "esop", _slow_lowering, 0.2, SynthesisTimeout),
+    ("b11", "tbs", None, 600, TooWide),
+    ("squar5", "tbs", _gate_limit_5, 600, GateLimitExceeded),
+    ("squar5", "esop", _failing_verification, 600, VerificationFailed),
+    ("squar5", "esop", None, 0, ValueError),
+], ids=["ok", "timeout", "too-wide", "gate-limit", "verification-failed", "refused-timeout"])
+def test_run_synthesis_restores_alarm_on_every_exit(monkeypatch, caller_alarm, bench_tables,
+                                                    name, method, patch, timeout_s, raised):
+    if patch is not None:
+        patch(monkeypatch)
+    if raised is None:
+        result = cli.run_synthesis(bench_tables[name], method, timeout_s=timeout_s)
+        assert result.verification.passed
+    else:
+        with pytest.raises(raised):
+            cli.run_synthesis(bench_tables[name], method, timeout_s=timeout_s)
+    _assert_alarm_restored(caller_alarm)
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1, 1e12, float("nan"), float("inf")])
+def test_run_synthesis_refuses_timeouts_the_timer_cannot_arm(bench_tables, timeout_s):
+    with pytest.raises(ValueError, match="^timeout_s must be"):
+        cli.run_synthesis(bench_tables["squar5"], "esop", timeout_s=timeout_s)
 
 
 @pytest.mark.parametrize("name", ["squar5", "dist"])
@@ -310,13 +405,15 @@ def test_bench_timeout_yields_rows_not_crashes(tmp_path):
     single = tmp_path / "bench"
     single.mkdir()
     (single / "squar5.pla").write_text((BENCH_DIR / "squar5.pla").read_text())
-    assert main([
-        "bench", "--dir", str(single), "--methods", "esop,esop-rtt,tbs",
-        "--csv", str(csv_path), "--timeout-s", "0.000001",
-    ]) == 0
-    rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
-    assert len(rows) == 3
-    assert all(r[-1] == "timeout" for r in rows)
+    # Pool workers arm the timer on their own main threads.
+    for jobs in ("1", "2"):
+        assert main([
+            "bench", "--dir", str(single), "--methods", "esop,esop-rtt,tbs",
+            "--csv", str(csv_path), "--timeout-s", "0.000001", "--jobs", jobs,
+        ]) == 0
+        rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(r[-1] == "timeout" for r in rows)
 
 
 def test_bench_missing_directory_exits_2(tmp_path):
@@ -497,6 +594,57 @@ def test_netlist_controls_in_any_order(tmp_path, capsys):
     assert again == netlist.read_text()
 
 
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` with one to four bytes replaced, inserted or deleted."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out) - 1))
+        byte = draw(st.sampled_from(b"01-~2 .\n\t:,[]\"e") | st.integers(0, 255))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "replace":
+            out[at] = byte
+        elif op == "insert":
+            out.insert(at, byte)
+        else:
+            del out[at]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def squar5_netlists(tmp_path_factory) -> dict[str, bytes]:
+    """The esop and tbs netlists of squar5, the two that verify against its table."""
+    out = tmp_path_factory.mktemp("netlists")
+    netlists = {}
+    for method in ("esop", "tbs"):
+        path = out / f"{method}.json"
+        assert main(["synth", "--in", SQUAR5, "--method", method,
+                     "--out", str(out / f"{method}.qasm"), "--netlist", str(path)]) == 0
+        netlists[method] = path.read_bytes()
+    return netlists
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(("synth", "verify")), method=st.sampled_from(cli.METHODS),
+       data=st.data())
+def test_mutated_inputs_exit_with_a_documented_code(tmp_path_factory, squar5_netlists,
+                                                    command, method, data):
+    work = tmp_path_factory.mktemp("mutated")
+    table, netlist = work / "t.pla", work / "c.json"
+    if command == "synth":
+        table.write_bytes(data.draw(mutated(Path(SQUAR5).read_bytes())))
+        argv = ["synth", "--in", str(table), "--method", method, "--out", str(work / "c.qasm")]
+    else:
+        netlist.write_bytes(data.draw(mutated(squar5_netlists[data.draw(st.sampled_from(
+            sorted(squar5_netlists)))])))
+        argv = ["verify", "--in", SQUAR5, "--circuit", str(netlist)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 def test_verify_over_expansion_limit_exits_4(tmp_path, capsys):
     wide = tmp_path / "wide.pla"
     wide.write_text(".i 21\n.o 1\n" + "1" * 21 + " 1\n.e\n")
@@ -631,7 +779,7 @@ def test_bench_jobs_capped_at_task_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert main([
         "bench", "--dir", str(small), "--methods", "esop",
         "--csv", str(tmp_path / "rows.csv"), "--jobs", "100000",
@@ -661,6 +809,20 @@ def wide_output_table() -> pla.PlaTable:
     return pla.parse_pla(".i 6\n.o 70\n" + "\n".join(rows) + "\n.e\n")
 
 
+def _esop_of_min_duplication(table, partial=False, minimize=True):
+    """The esop pipeline's stages on the min-duplication resolution of ``table``.
+
+    ``run_synthesis`` refuses ``dc_minimize`` with method esop, so the stages
+    are called one by one; the circuit is checked against the unresolved table.
+    """
+    spec = pla.expand(table, partial=partial)
+    cubes = esop.spec_to_esop(embed.resolve_dontcares(spec, embed.RESOLVE_MIN_DUPLICATION))
+    if minimize:
+        cubes = esop.minimize_esop(cubes)
+    lowered = circ.lower_polarity(esop.esop_to_circuit(cubes))
+    return circ.metrics(lowered, 0), sim.verify_oracle(lowered, spec)
+
+
 @pytest.mark.parametrize("options,checked,gates,complexity", [
     ({}, 64, 476, 2488),
     ({"dc_minimize": True}, 64, 1570, 10486),
@@ -671,9 +833,13 @@ def test_esop_on_more_than_63_outputs(options, checked, gates, complexity):
     # 70-bit output words are Python ints (dtype=object) in the minterm table.
     table = wide_output_table()
     assert pla.expand(table).entries.dtype == object
-    result = cli.run_synthesis(table, "esop", **options)
-    assert result.verification.passed and result.verification.checked == checked
-    r = result.report
+    if options.get("dc_minimize"):
+        rest = {k: v for k, v in options.items() if k != "dc_minimize"}
+        r, verification = _esop_of_min_duplication(table, **rest)
+    else:
+        result = cli.run_synthesis(table, "esop", **options)
+        r, verification = result.report, result.verification
+    assert verification.passed and verification.checked == checked
     assert (r.qubits, r.gate_count, r.complexity) == (76, gates, complexity)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qoracle import embed, pla
 from qoracle.cli import run_synthesis
-from qoracle.errors import QOracleError, SynthesisTimeout, TooWide, check_deadline
+from qoracle.errors import QOracleError, SynthesisTimeout, TooWide
 
 from conftest import spec_rows, spec_table
 
@@ -85,19 +85,15 @@ def test_min_duplication_finishes_rows_of_40_dontcares():
     table = pla.parse_pla(".i 3\n.o 40\n--- " + "-" * 40 + "\n.e\n")
     resolved = embed.resolve_dontcares(pla.expand(table), embed.RESOLVE_MIN_DUPLICATION)
     assert resolved.entries.tolist() == list(range(8)) and not resolved.has_dontcares()
-    result = run_synthesis(table, "esop", dc_minimize=True, timeout_s=60)
-    assert result.verification.passed and result.verification.checked == 8
 
 
 def test_min_duplication_stops_at_the_deadline():
     # Every row completes one of 16 patterns, so from row 16 on each row compares all 16.
     table = pla.PlaTable(n=20, m=4, cubes=[(0, 0, 0, 0b1111)])
-    with pytest.raises(SynthesisTimeout, match="^don't-care resolution gave up at row 0 of "):
-        embed.resolve_dontcares(pla.expand(table), embed.RESOLVE_MIN_DUPLICATION,
-                                deadline=time.monotonic() - 1)
     started = time.monotonic()
-    with pytest.raises(SynthesisTimeout, match="^don't-care resolution gave up"):
-        run_synthesis(table, "esop", dc_minimize=True, timeout_s=0.5)
+    with pytest.raises(SynthesisTimeout,
+                       match=r"^gave up after 0\.5 s in qoracle\.embed\.resolve_dontcares$"):
+        run_synthesis(table, "esop-rtt", dc_minimize=True, timeout_s=0.5)
     assert time.monotonic() - started < 2
 
 
@@ -195,24 +191,12 @@ def test_hamming_identity_when_sets_match():
 
 def test_completion_deadline_stops_pass_two():
     partial = _partial(3, {0: 0, 2: 1, 3: 2, 4: 4, 5: 5, 6: 7})  # leftover inputs 001, 111
-    past, future = time.monotonic() - 1, time.monotonic() + 60
-    with pytest.raises(SynthesisTimeout, match="completion gave up at leftover row 0 of 2"):
-        embed.complete_onto_hamming(partial, deadline=past)
-    total = embed.complete_onto_hamming(partial, deadline=future)
-    assert total.perm.tolist() == embed.complete_onto_hamming(partial).perm.tolist()
-    # Pass 1 and the naive pairing are single linear passes and do not check it.
+    # Pass 2 gives 001 the closer of the unused outputs 011 and 110, and 111 the other.
+    total = embed.complete_onto_hamming(partial)
+    assert total.perm.tolist() == [0, 0b011, 1, 2, 4, 5, 7, 0b110]
     matched = _partial(2, {1: 1})
-    assert embed.complete_onto_hamming(matched, deadline=past).perm.tolist() == [0, 1, 2, 3]
-    assert embed.complete_onto_naive(partial, deadline=past).is_bijection()
-
-
-def test_check_deadline_formats_only_when_it_raises():
-    past, future = time.monotonic() - 1, time.monotonic() + 60
-    # "%d" % "x" would raise TypeError, so these two calls never format.
-    check_deadline(None, "%d", "x")
-    check_deadline(future, "%d", "x")
-    with pytest.raises(SynthesisTimeout, match="^gave up at row 3 of 8$"):
-        check_deadline(past, "gave up at row %d of %d", 3, 8)
+    assert embed.complete_onto_hamming(matched).perm.tolist() == [0, 1, 2, 3]
+    assert embed.complete_onto_naive(partial).is_bijection()
 
 
 def reference_complete_onto_hamming(partial):

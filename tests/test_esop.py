@@ -76,18 +76,10 @@ def overlapping_cubes() -> pla.PlaTable:
 
 
 def test_sop_to_esop_stops_at_the_deadline():
-    table = pla.parse_pla(".i 3\n.o 1\n1-- 1\n-1- 1\n111 1\n.e")
-    past = time.monotonic() - 1
-    with pytest.raises(SynthesisTimeout, match="^ESOP conversion ran out of time$"):
-        esop.sop_to_esop(table, deadline=past)
-    assert esop.sop_to_esop(table, deadline=time.monotonic() + 60) == esop.sop_to_esop(table)
-    # Fully specified rows take the fast path, which never reads the clock.
-    minterms = pla.parse_pla(".i 3\n.o 1\n101 1\n111 1\n101 1\n.e")
-    assert esop.sop_to_esop(minterms, deadline=past) == esop.sop_to_esop(minterms)
-
     # Disjoint-sharp splits these 100 cubes into about 19 000 pieces.
     started = time.monotonic()
-    with pytest.raises(SynthesisTimeout, match="^ESOP conversion ran out of time$"):
+    with pytest.raises(SynthesisTimeout,
+                       match=r"^gave up after 0\.5 s in qoracle\.esop\.sop_to_esop$"):
         run_synthesis(overlapping_cubes(), "esop", timeout_s=0.5)
     assert time.monotonic() - started < 2
 
@@ -345,22 +337,6 @@ def test_minterm_pairing_bit_order_and_rank():
     assert as_cubes(result) == [("101", "1"), ("010", "1")]
 
 
-@pytest.mark.parametrize("literals", [("110", "111", "011"), ("1-0", "111")])
-def test_minimize_checks_deadline_before_building_columns(monkeypatch, literals):
-    inserted = []
-    insert = esop._ColumnSet.insert
-
-    def record(self, cube):
-        inserted.append(cube)
-        return insert(self, cube)
-
-    monkeypatch.setattr(esop._ColumnSet, "insert", record)
-    cubes = from_cubes(3, 2, [(x, "11") for x in literals])
-    with pytest.raises(SynthesisTimeout):
-        esop.minimize_esop(cubes, deadline=time.monotonic() - 1)
-    assert inserted == []
-
-
 def reference_distance2_pairs(column: esop._ColumnSet) -> list[tuple[int, int]]:
     """Dict-keyed distance-2 pair builder, the reference for ``_distance2_pairs``.
 
@@ -431,12 +407,4 @@ def test_distance2_pairs_three_cube_bucket():
 def test_columns_without_distance2_pairs(n, literals):
     column = esop._ColumnSet(n, [pla._masks(x) for x in literals])
     assert esop._distance2_pairs(column) == []
-    assert esop._distance2_sweep(column, None) is False
-
-
-def test_distance2_sweep_checks_deadline():
-    column = esop._ColumnSet(3, [pla._masks(x) for x in ("110", "1--", "000")])
-    live = dict(column.live)
-    with pytest.raises(SynthesisTimeout):
-        esop._distance2_sweep(column, time.monotonic() - 1)
-    assert column.live == live
+    assert esop._distance2_sweep(column) is False

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import embed, sim, tbs
+from qoracle import embed, pla, sim, tbs
+from qoracle.cli import run_synthesis
 from qoracle.errors import GateLimitExceeded, QOracleError, SynthesisTimeout
 
-from conftest import induced_permutation
+from conftest import BENCH_DIR, induced_permutation, slow
 
 
 def make_spec(width, perm):
@@ -326,13 +327,13 @@ def test_gate_limit_enforced(monkeypatch):
         synth(perm)
 
 
-def test_timeout_enforced():
-    rng = np.random.default_rng(4)
-    perm = rng.permutation(256).tolist()
-    with pytest.raises(SynthesisTimeout):
-        synth(perm, deadline=0.0)
-    with pytest.raises(SynthesisTimeout):
-        synth(perm, tbs.BIDIRECTIONAL, deadline=0.0)
+def test_timeout_enforced(monkeypatch):
+    # The timer stops TBS inside its row loop, in both directions, and names the stage.
+    monkeypatch.setattr(tbs, "_fix", slow(tbs._fix))
+    table = pla.parse_pla((BENCH_DIR / "squar5.pla").read_text())
+    for direction in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
+        with pytest.raises(SynthesisTimeout, match=r"s in qoracle\.tbs\.tbs_synthesize$"):
+            run_synthesis(table, "tbs", direction=direction, timeout_s=0.1)
 
 
 def test_rejects_bad_arguments():
