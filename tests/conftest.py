@@ -1,7 +1,6 @@
 """Shared strategies and fixtures for the test suite."""
 from __future__ import annotations
 
-import signal
 import time
 import types
 from pathlib import Path
@@ -138,14 +137,3 @@ def slow(fn, seconds: float = 3.0):
     code = wrapper.__code__.replace(co_name=fn.__name__)
     return types.FunctionType(code, {**wrapper.__globals__, "__name__": fn.__module__},
                               fn.__name__, None, wrapper.__closure__)
-
-
-@pytest.fixture
-def caller_alarm():
-    """A SIGALRM handler of the caller's own, installed for the test and removed after it."""
-    def handler(signum, frame):
-        raise AssertionError("the caller's SIGALRM handler ran")
-
-    before = signal.signal(signal.SIGALRM, handler)
-    yield handler
-    signal.signal(signal.SIGALRM, before)

@@ -127,7 +127,6 @@ def test_synth_fractional_timeout(tmp_path, capsys):
     ["--method", "esop-rtt", "--completion", "naive"],
 ], ids=["esop", "esop-rtt-naive"])
 def test_synth_timeout_bounds_unminimized_esop(tmp_path, capsys, method):
-    # The timer bounds these paths as it bounds every other.
     out = tmp_path / "c.qasm"
     assert main([
         "synth", "--in", SQUAR5, *method, "--no-minimize", "--timeout-s", "1e-9",
@@ -269,6 +268,17 @@ TIMED_STAGES = [
                   *(("embed.resolve_dontcares",) if method != "esop" else ()),
                   *(("esop.esop_to_circuit",) if method != "tbs" else ()))
 ]
+
+
+@pytest.fixture
+def caller_alarm():
+    """A SIGALRM handler of the caller's own, installed for the test and removed after it."""
+    def handler(signum, frame):
+        raise AssertionError("the caller's SIGALRM handler ran")
+
+    before = signal.signal(signal.SIGALRM, handler)
+    yield handler
+    signal.signal(signal.SIGALRM, before)
 
 
 def _assert_alarm_restored(handler):
