@@ -2,7 +2,8 @@
 """Print a comparison table from a ``qoracle bench`` CSV.
 
 One line per function compares qubit counts and circuit complexity across
-the three methods; a method that did not finish shows its status.
+the methods in the CSV, one column each in the order they first appear; a
+method that did not finish shows its status.
 
 Usage:
     qoracle bench --dir benchmarks --csv results.csv
@@ -14,8 +15,6 @@ import argparse
 import csv
 import sys
 
-METHODS = ("esop", "esop-rtt", "tbs")
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -24,6 +23,8 @@ def main() -> int:
 
     with open(args.csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    # One column per method, as wide as its name and at least 16.
+    widths = {m: max(16, len(m)) for m in dict.fromkeys(row["method"] for row in rows)}
 
     by_fn: dict[str, dict[str, dict[str, str]]] = {}
     for row in rows:
@@ -37,13 +38,13 @@ def main() -> int:
         return f"q={row['qubits']} c={row['complexity']}"
 
     print(f"{'function':10s} {'in':>3s} {'out':>3s} | "
-          + " | ".join(f"{m:>16s}" for m in METHODS))
+          + " | ".join(m.rjust(w) for m, w in widths.items()))
     for name in sorted(by_fn):
         cells = by_fn[name]
         any_row = next(iter(cells.values()))
         print(
             f"{name:10s} {int(any_row['inputs']):3d} {int(any_row['outputs']):3d} | "
-            + " | ".join(f"{cell(cells.get(m)):>16s}" for m in METHODS)
+            + " | ".join(cell(cells.get(m)).rjust(w) for m, w in widths.items())
         )
     print(f"\nread {len(rows)} rows from {args.csv}")
     return 0

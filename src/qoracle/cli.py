@@ -21,7 +21,7 @@ from .errors import (
     VerificationFailed,
 )
 
-METHODS = ("esop", "esop-rtt", "tbs")
+METHODS = ("esop", "esop-rtt", tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL)
 
 COMPLETIONS = ("hamming", "naive")
 
@@ -64,7 +64,6 @@ def run_synthesis(
     partial: bool = False,
     dc_minimize: bool = False,
     completion: str = "hamming",
-    direction: str = tbs.UNIDIRECTIONAL,
     timeout_s: float = 600.0,
 ) -> SynthResult:
     """Run one full synthesis pipeline and verify the result.
@@ -103,8 +102,8 @@ def run_synthesis(
                 total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
                 embed.finish_report(embedding, partial_spec, total)
 
-            if method == "tbs":
-                raw = tbs.tbs_synthesize(total, direction=direction)
+            if method in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
+                raw = tbs.tbs_synthesize(total, direction=method)
                 check_spec = resolved
             else:
                 if method == "esop-rtt":
@@ -178,7 +177,6 @@ def _cmd_synth(args) -> int:
         partial=args.partial,
         dc_minimize=args.dc_minimize,
         completion=args.completion,
-        direction=tbs.BIDIRECTIONAL if args.bidirectional else tbs.UNIDIRECTIONAL,
         timeout_s=args.timeout_s,
     )
     Path(args.out).write_text(emit.to_qasm(result.circuit))
@@ -331,12 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="QASM")
     p.add_argument("--netlist", metavar="JSON")
     p.add_argument("--metrics", metavar="JSON")
-    p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--no-minimize", action="store_true")
     p.add_argument("--partial", action="store_true",
                    help="leave minterms covered by no cube unspecified")
     p.add_argument("--dc-minimize", action="store_true",
-                   help="resolve output don't-cares to minimize duplication (esop-rtt, tbs)")
+                   help="resolve output don't-cares to minimize duplication (not esop)")
     p.add_argument("--timeout-s", type=float, default=600.0)
     p.add_argument("--completion", choices=COMPLETIONS, default="hamming")
     p.set_defaults(func=_cmd_synth)

@@ -34,7 +34,7 @@ class CardQuery:
 
 
 def parse_query(text: str) -> CardQuery:
-    """Parse 'suit=<name>,rank=<name>' query strings."""
+    """Parse 'suit=<name>,rank=<name>' query strings; refusals raise ``QOracleError``."""
     suit = rank = None
     for part in text.split(","):
         part = part.strip()
@@ -44,23 +44,23 @@ def parse_query(text: str) -> CardQuery:
         key, value = key.strip().lower(), value.strip().lower()
         if key == "suit":
             if value not in SUIT_CODES:
-                raise ValueError(f"unknown suit {value!r}")
+                raise QOracleError(f"unknown suit {value!r}")
             suit = SUIT_CODES[value]
         elif key == "rank":
             if value not in RANK_CODES:
                 raise QOracleError(f"unknown rank {value!r}")
             rank = RANK_CODES[value]
         else:
-            raise ValueError(f"unknown query key {key!r}")
+            raise QOracleError(f"unknown query key {key!r}")
     if suit is None and rank is None:
-        raise ValueError("query needs a suit, a rank, or both")
+        raise QOracleError("query needs a suit, a rank, or both")
     return CardQuery(suit=suit, rank=rank)
 
 
 def card_query_to_pla(query: CardQuery) -> PlaTable:
     """Single-output predicate over the six card bits, 1 on matching cards."""
     if query.suit is None and query.rank is None:
-        raise ValueError("query needs a suit, a rank, or both")
+        raise QOracleError("query needs a suit, a rank, or both")
     if query.rank is not None and query.rank not in _VALID_RANKS:
         raise QOracleError(f"rank code {query.rank:04b} is unused")
     care = (0 if query.suit is None else 0b110000) | (0 if query.rank is None else 0b001111)

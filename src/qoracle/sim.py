@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit,
-                      _from_msb_first, _qubits)
+from .circuit import CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, _qubits
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import QOracleError, TooWide
 from .pla import SpecTable, _word_dtype
@@ -78,13 +77,6 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
             for q in _qubits(neg):
                 fire &= ~planes[q]
         planes[target] ^= fire
-
-
-def apply_classical(circuit: Circuit, patterns: list[int]) -> list[int]:
-    """Run basis states through an X/MCX cascade, all at once as bit-planes."""
-    planes = _planes(np.array(patterns, _word_dtype(circuit.width)), circuit.width)
-    _run_planes(circuit, planes, (1 << len(patterns)) - 1)
-    return _values(planes, len(patterns)).tolist()
 
 
 def _role_positions(circuit: Circuit, spec: SpecTable) -> tuple[list[int], list[int]]:
@@ -164,38 +156,38 @@ def zero_state(width: int) -> StateVector:
 
 
 def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply X/H/Z/MCX/MCZ gates to a statevector (width capped at 20)."""
+    """Apply X/H/Z/MCX/MCZ gates to a statevector (width capped at 20).
+
+    The amplitudes sit on one axis per qubit.  Each gate acts on the block
+    where its controls hold, split by its target into a 0 and a 1 half.
+    """
     width = circuit.width
     if width > SIM_LIMIT:
         raise TooWide(f"width {width} exceeds the simulation limit {SIM_LIMIT}")
     if width != state.width:
         raise ValueError("circuit and state widths differ")
-    amps = state.amplitudes.copy()
-    idx = np.arange(1 << width)
+    v = state.amplitudes.reshape([2] * width).copy()
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for gate in circuit.gates:
-        tbit = 1 << (width - 1 - gate.target)
-        pos = _from_msb_first(gate.pos, width)
-        neg = _from_msb_first(gate.neg, width)
-        if gate.kind in (KIND_X, KIND_MCX):
-            src = np.where((idx & pos == pos) & (idx & neg == 0), idx ^ tbit, idx)
-            amps = amps[src]
-        elif gate.kind == KIND_H:
-            v = amps.reshape([2] * width)
-            lo = [slice(None)] * width
-            hi = [slice(None)] * width
-            lo[gate.target], hi[gate.target] = 0, 1
-            a = v[tuple(lo)].copy()
-            b = v[tuple(hi)].copy()
-            v[tuple(lo)] = (a + b) * inv_sqrt2
-            v[tuple(hi)] = (a - b) * inv_sqrt2
-            amps = v.reshape(-1)
-        elif gate.kind in (KIND_Z, KIND_MCZ):
-            sel = (idx & pos == pos) & (idx & neg == 0) & (idx & tbit != 0)
-            amps[sel] *= -1.0
+    for kind, target, pos, neg in circuit.gates:
+        at = [slice(None)] * width
+        for q in _qubits(pos):
+            at[q] = 1
+        for q in _qubits(neg):
+            at[q] = 0
+        at[target] = 0
+        lo = tuple(at)
+        at[target] = 1
+        hi = tuple(at)
+        if kind in (KIND_X, KIND_MCX):
+            v[lo], v[hi] = v[hi], v[lo].copy()
+        elif kind == KIND_H:
+            a, b = v[lo], v[hi]
+            v[lo], v[hi] = (a + b) * inv_sqrt2, (a - b) * inv_sqrt2
+        elif kind in (KIND_Z, KIND_MCZ):
+            v[hi] *= -1.0
         else:
-            raise QOracleError(f"statevector backend cannot apply {gate.kind}")
-    return StateVector(width, amps)
+            raise QOracleError(f"statevector backend cannot apply {kind}")
+    return StateVector(width, v.reshape(-1))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:

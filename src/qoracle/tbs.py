@@ -25,8 +25,9 @@ from .embed import ReversibleSpec
 from .errors import GateLimitExceeded, QOracleError
 from .sim import _planes
 
-UNIDIRECTIONAL = "unidirectional"
-BIDIRECTIONAL = "bidirectional"
+#: The two directions, which are also the pipeline's method names.
+UNIDIRECTIONAL = "tbs"
+BIDIRECTIONAL = "tbs-bidirectional"
 
 #: Most gates one synthesis may emit before it gives up.
 GATE_LIMIT = 50_000
@@ -165,4 +166,4 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL) -> 
 
     gates = [mcx(q, pos) for q, pos in in_gates + out_gates[::-1]]
     return Circuit(width=width, gates=gates, roles_in=spec.roles_in, roles_out=spec.roles_out,
-                   method="tbs-bidirectional" if direction == BIDIRECTIONAL else "tbs")
+                   method=direction)

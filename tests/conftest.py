@@ -15,9 +15,16 @@ from qoracle import esop, pla, sim
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
+def apply_classical(circuit: circ.Circuit, patterns: list[int]) -> list[int]:
+    """Run basis states through an X/MCX cascade, all at once as bit-planes."""
+    planes = sim._planes(np.array(patterns, pla._word_dtype(circuit.width)), circuit.width)
+    sim._run_planes(circuit, planes, (1 << len(patterns)) - 1)
+    return sim._values(planes, len(patterns)).tolist()
+
+
 def induced_permutation(circuit: circ.Circuit) -> list[int]:
     """The image of every basis state, in ascending basis-state order."""
-    return sim.apply_classical(circuit, list(range(1 << circuit.width)))
+    return apply_classical(circuit, list(range(1 << circuit.width)))
 
 
 def cube_strings(width: int, alphabet: str = "01-"):

@@ -19,7 +19,7 @@ from qoracle import embed, esop, grover, pla, sim, tbs
 from qoracle.cli import run_synthesis
 from qoracle.errors import GateLimitExceeded, SynthesisTimeout, TooWide
 
-from conftest import BENCH_DIR, cube, induced_permutation, spec_table
+from conftest import BENCH_DIR, apply_classical, cube, induced_permutation, spec_table
 
 EXPECTED_ESOP_QUBITS = {
     "squar5": 13, "Z9sym": 10, "inc": 16, "Z5xp1": 17, "dist": 13, "f51m": 16,
@@ -175,7 +175,7 @@ def test_criterion_06_esop_round_trip_property():
         # XOR shift: with the ancilla register at all-ones the output qubits
         # read the complement of every resolved function bit.
         ones = (1 << m) - 1
-        outs = sim.apply_classical(lowered, [(x << m) | ones for x in range(1 << n)])
+        outs = apply_classical(lowered, [(x << m) | ones for x in range(1 << n)])
         for x in range(1 << n):
             got = outs[x]
             value, dc = int(spec.entries[x]), int(spec.dc[x])

@@ -239,6 +239,7 @@ STAGES = {
     "tbs": ("embed.rtt_embed", "embed.complete_onto_hamming", "embed.finish_report",
             "tbs.tbs_synthesize", "circuit.lower_polarity", "sim.verify_oracle"),
 }
+STAGES["tbs-bidirectional"] = STAGES["tbs"]
 
 
 @pytest.mark.parametrize("method", list(STAGES))
@@ -261,12 +262,11 @@ def test_run_synthesis_looks_stages_up_at_call_time(monkeypatch, method):
 
 #: Every stage run_synthesis calls: STAGES plus expansion, resolution and cube mapping.
 TIMED_STAGES = [
-    (method, direction, stage)
-    for method, direction in (("esop", tbs.UNIDIRECTIONAL), ("esop-rtt", tbs.UNIDIRECTIONAL),
-                              ("tbs", tbs.UNIDIRECTIONAL), ("tbs", tbs.BIDIRECTIONAL))
+    (method, stage)
+    for method in cli.METHODS
     for stage in ("pla.expand", *STAGES[method],
                   *(("embed.resolve_dontcares",) if method != "esop" else ()),
-                  *(("esop.esop_to_circuit",) if method != "tbs" else ()))
+                  *(("esop.esop_to_circuit",) if method.startswith("esop") else ()))
 ]
 
 
@@ -286,10 +286,9 @@ def _assert_alarm_restored(handler):
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("method,direction,stage", TIMED_STAGES,
-                         ids=[f"{m}{'-bidirectional' * (d == tbs.BIDIRECTIONAL)}-{s}"
-                              for m, d, s in TIMED_STAGES])
-def test_timeout_names_the_running_stage(monkeypatch, caller_alarm, method, direction, stage):
+@pytest.mark.parametrize("method,stage", TIMED_STAGES,
+                         ids=[f"{m}-{s}" for m, s in TIMED_STAGES])
+def test_timeout_names_the_running_stage(monkeypatch, caller_alarm, method, stage):
     module, attr = stage.split(".")
     module = getattr(qoracle, module)
     monkeypatch.setattr(module, attr, slow(getattr(module, attr)))
@@ -297,7 +296,7 @@ def test_timeout_names_the_running_stage(monkeypatch, caller_alarm, method, dire
     started = time.monotonic()
     with pytest.raises(SynthesisTimeout,
                        match=f"^gave up after 0.2 s in {re.escape('qoracle.' + stage)}$"):
-        cli.run_synthesis(table, method, direction=direction, timeout_s=0.2)
+        cli.run_synthesis(table, method, timeout_s=0.2)
     assert time.monotonic() - started < 1
     _assert_alarm_restored(caller_alarm)
 
@@ -388,6 +387,37 @@ def test_bench_small_matrix(tmp_path):
     assert by_name["ex5"][4] == "71"
 
 
+def test_bidirectional_tbs_is_a_method(tmp_path, capsys):
+    # bench runs it beside tbs, and synth takes it as a method, not as a flag.
+    single = tmp_path / "bench"
+    single.mkdir()
+    (single / "squar5.pla").write_text(Path(SQUAR5).read_text())
+    csv_path = tmp_path / "rows.csv"
+    assert main([
+        "bench", "--dir", str(single), "--methods", "tbs,tbs-bidirectional",
+        "--csv", str(csv_path),
+    ]) == 0
+    rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
+    assert [(r[0], r[3], r[-1]) for r in rows] == [
+        ("squar5", "tbs", "ok"), ("squar5", "tbs-bidirectional", "ok")]
+    metrics = tmp_path / "m.json"
+    assert main([
+        "synth", "--in", SQUAR5, "--method", "tbs-bidirectional",
+        "--out", str(tmp_path / "c.qasm"), "--metrics", str(metrics),
+    ]) == 0
+    report = read_metrics(metrics)
+    assert rows[1][4:7] == [str(report[k]) for k in ("qubits", "gate_count", "complexity")]
+    assert rows[0][5:7] != rows[1][5:7]
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--in", SQUAR5, "--method", "tbs", "--bidirectional",
+              "--out", str(tmp_path / "b.qasm")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bidirectional" in capsys.readouterr().err
+    assert not (tmp_path / "b.qasm").exists()
+
+
 def test_bench_records_failures_as_rows(tmp_path):
     csv_path = tmp_path / "rows.csv"
     single = tmp_path / "bench"
@@ -445,21 +475,20 @@ def test_bench_deterministic_apart_from_timing(tmp_path):
     assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
 
 
-def _synth_netlist(tmp_path, *method: str) -> Path:
+def _synth_netlist(tmp_path, method: str) -> Path:
     netlist = tmp_path / "c.json"
     assert main([
-        "synth", "--in", SQUAR5, "--method", *method,
+        "synth", "--in", SQUAR5, "--method", method,
         "--out", str(tmp_path / "c.qasm"), "--netlist", str(netlist),
     ]) == 0
     return netlist
 
 
-@pytest.mark.parametrize("method", [["esop"], ["tbs"], ["tbs", "--bidirectional"]],
-                         ids=["esop", "tbs", "tbs-bidirectional"])
+@pytest.mark.parametrize("method", ["esop", "tbs", "tbs-bidirectional"])
 def test_verify_roundtrip_and_corruption(tmp_path, method):
     # The netlist's roles say which inputs must come back: all of an ESOP
     # oracle's, none of a TBS one's.  No flag picks it.
-    netlist = _synth_netlist(tmp_path, *method)
+    netlist = _synth_netlist(tmp_path, method)
     assert main(["verify", "--in", SQUAR5, "--circuit", str(netlist)]) == 0
 
     # An X on the first output qubit flips output bit 0 of every minterm.

@@ -14,8 +14,8 @@ from qoracle import esop, pla, sim
 from qoracle.cli import run_synthesis
 from qoracle.errors import SynthesisTimeout
 
-from conftest import (as_cubes, cube, from_cubes, gate_controls, pla_tables,
-                      table_from_spec)
+from conftest import (apply_classical, as_cubes, cube, from_cubes, gate_controls,
+                      pla_tables, table_from_spec)
 
 
 def truth_table(cubes: esop.EsopCubeList) -> list[int]:
@@ -180,7 +180,7 @@ def test_end_to_end_oracle_and_xor_shift(table):
     # Ancilla set to all-ones reads back the complement of the resolved bits.
     n, m = table.n, table.m
     ones = (1 << m) - 1
-    outs = sim.apply_classical(lowered, [(x << m) | ones for x in range(1 << n)])
+    outs = apply_classical(lowered, [(x << m) | ones for x in range(1 << n)])
     for x in range(1 << n):
         got = outs[x]
         assert got >> m == x

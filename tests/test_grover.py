@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qoracle import grover, pla, sim
-from qoracle.cli import run_synthesis
+from qoracle.cli import main, run_synthesis
 from qoracle.errors import QOracleError
 
 from conftest import cube
@@ -33,7 +33,7 @@ def test_card_query_invalid_rank():
         grover.card_query_to_pla(grover.CardQuery(rank=0))
     with pytest.raises(QOracleError, match="rank code 1110 is unused"):
         grover.card_query_to_pla(grover.CardQuery(rank=0b1110))
-    with pytest.raises(ValueError):
+    with pytest.raises(QOracleError, match="query needs a suit, a rank, or both"):
         grover.card_query_to_pla(grover.CardQuery())
 
 
@@ -43,8 +43,24 @@ def test_parse_query_strings():
     assert grover.parse_query("rank=ace") == grover.CardQuery(None, 1)
     with pytest.raises(QOracleError, match="unknown rank '15'"):
         grover.parse_query("rank=15")
-    with pytest.raises(ValueError):
+    with pytest.raises(QOracleError, match="unknown suit 'stars'"):
         grover.parse_query("suit=stars")
+
+
+@pytest.mark.parametrize("query,message", [
+    ("suit=jokers", "unknown suit 'jokers'"),
+    ("rank=15", "unknown rank '15'"),
+    ("colour=red", "unknown query key 'colour'"),
+    ("", "query needs a suit, a rank, or both"),
+    (" , ", "query needs a suit, a rank, or both"),
+], ids=["unknown-suit", "unknown-rank", "unknown-key", "empty", "blank-parts"])
+def test_malformed_queries_are_refused(tmp_path, capsys, query, message):
+    with pytest.raises(QOracleError, match=message):
+        grover.parse_query(query)
+    out = tmp_path / "hist.csv"
+    assert main(["grover", "--deck", "--query", query, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_optimal_iterations():

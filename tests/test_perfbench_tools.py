@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qoracle
-from qoracle import cli, emit, pla, sim, tbs
+from qoracle import cli, emit, pla, sim
 
 from conftest import BENCH_DIR, pla_tables
 
@@ -30,10 +30,9 @@ def _uncovered(table: pla.PlaTable) -> int:
 
 @settings(max_examples=150, deadline=None)
 @given(pla_tables(), st.sampled_from(cli.METHODS), st.booleans(), st.booleans(),
-       st.booleans(), st.sampled_from(cli.COMPLETIONS),
-       st.sampled_from((tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL)))
+       st.booleans(), st.sampled_from(cli.COMPLETIONS))
 def test_option_matrix_matches_independent_checker(table, method, minimize, dc_minimize,
-                                                   partial, completion, direction):
+                                                   partial, completion):
     text = pla.write_pla(table)
     if dc_minimize and method == "esop":
         with pytest.raises(ValueError, match="dc_minimize"):
@@ -41,7 +40,7 @@ def test_option_matrix_matches_independent_checker(table, method, minimize, dc_m
         return
     result = cli.run_synthesis(pla.parse_pla(text), method, minimize=minimize,
                                dc_minimize=dc_minimize, partial=partial,
-                               completion=completion, direction=direction)
+                               completion=completion)
     spec = oracle_check.spec_from_pla(text)
     if partial:
         spec.dc = [dc | _uncovered(table) for dc in spec.dc]

@@ -13,8 +13,8 @@ from qoracle import circuit as circ
 from qoracle import esop, pla, sim
 from qoracle.errors import QOracleError, TooWide
 
-from conftest import (classical_circuits, control_masks, from_cubes, gate_controls,
-                      induced_permutation, spec_table, table_from_spec)
+from conftest import (apply_classical, classical_circuits, control_masks, from_cubes,
+                      gate_controls, induced_permutation, spec_table, table_from_spec)
 
 
 def ten_of_diamonds_oracle():
@@ -24,24 +24,24 @@ def ten_of_diamonds_oracle():
 
 def test_apply_classical_basics():
     c = circ.Circuit(3, [circ.x(0)])
-    assert sim.apply_classical(c, [0b000]) == [0b100]
+    assert apply_classical(c, [0b000]) == [0b100]
     ccx = circ.Circuit(3, [circ.mcx(2, 1 << 0 | 1 << 1)])
-    assert sim.apply_classical(ccx, [0b110]) == [0b111]
-    assert sim.apply_classical(ccx, [0b100]) == [0b100]
-    assert sim.apply_classical(ccx, [0b110, 0b100, 0b111]) == [0b111, 0b100, 0b110]
-    assert sim.apply_classical(ccx, []) == []
+    assert apply_classical(ccx, [0b110]) == [0b111]
+    assert apply_classical(ccx, [0b100]) == [0b100]
+    assert apply_classical(ccx, [0b110, 0b100, 0b111]) == [0b111, 0b100, 0b110]
+    assert apply_classical(ccx, []) == []
 
 
 def test_apply_classical_card_oracle():
     oracle = ten_of_diamonds_oracle()
-    assert sim.apply_classical(oracle, [0b1010100]) == [0b1010101]
-    assert sim.apply_classical(oracle, [0b0000000]) == [0b0000000]
+    assert apply_classical(oracle, [0b1010100]) == [0b1010101]
+    assert apply_classical(oracle, [0b0000000]) == [0b0000000]
 
 
 def test_apply_classical_rejects_nonclassical():
     c = circ.Circuit(1, [circ.h(0)])
     with pytest.raises(QOracleError, match="h gate has no classical action"):
-        sim.apply_classical(c, [0])
+        apply_classical(c, [0])
 
 
 def test_induced_permutation_examples():
@@ -131,7 +131,7 @@ def reference_apply(circuit, pattern):
 def test_bitplane_simulator_matches_reference_at_any_width(c, data):
     w = c.width
     patterns = data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=8))
-    assert sim.apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns]
+    assert apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns]
 
     # Random roles: n input qubits (the rest ancillas at zero), m outputs.
     # ``claimed`` gives the input qubits that are not outputs the output role
@@ -193,7 +193,7 @@ def test_apply_classical_matches_reference_at_every_width():
                 [(q, rng.choice("+-")) for q in chosen])))
         c = circ.Circuit(w, gates)
         patterns = [rng.getrandbits(w) for _ in range(16)]
-        assert sim.apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns], w
+        assert apply_classical(c, patterns) == [reference_apply(c, p) for p in patterns], w
 
 
 def test_statevector_hadamard():

@@ -262,7 +262,8 @@ def test_read_matches_bitwise_reference_at_both_ends():
         assert tbs._read(planes, at, full) == circ._from_msb_first(int(perm[at]), width)
 
 
-@pytest.mark.parametrize("direction,row", [(tbs.UNIDIRECTIONAL, 6598), (tbs.BIDIRECTIONAL, 7989)])
+@pytest.mark.parametrize("direction,row", [(tbs.UNIDIRECTIONAL, 6598), (tbs.BIDIRECTIONAL, 7989)],
+                         ids=["unidirectional-6598", "bidirectional-7989"])
 def test_dense_width_15_permutation_hits_gate_limit_at_pinned_row(direction, row):
     # A dense table built without an RNG: an odd multiplier, then an xorshift.
     y = (0x9E37 * np.arange(1 << 15, dtype=np.int64) + 0x1D) % (1 << 15)
@@ -331,9 +332,9 @@ def test_timeout_enforced(monkeypatch):
     # The timer stops TBS inside its row loop, in both directions, and names the stage.
     monkeypatch.setattr(tbs, "_fix", slow(tbs._fix))
     table = pla.parse_pla((BENCH_DIR / "squar5.pla").read_text())
-    for direction in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
+    for method in ("tbs", "tbs-bidirectional"):
         with pytest.raises(SynthesisTimeout, match=r"s in qoracle\.tbs\.tbs_synthesize$"):
-            run_synthesis(table, "tbs", direction=direction, timeout_s=0.1)
+            run_synthesis(table, method, timeout_s=0.1)
 
 
 def test_rejects_bad_arguments():
