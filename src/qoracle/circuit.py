@@ -9,13 +9,12 @@ from .errors import QOracleError
 from .embed import ROLE_INPUT, ROLE_OUTPUT
 
 KIND_X = "x"
-KIND_MCX = "mcx"
 KIND_H = "h"
 KIND_Z = "z"
-KIND_MCZ = "mcz"
 
-#: Gate kinds the classical permutation simulator accepts.
-CLASSICAL_KINDS = frozenset({KIND_X, KIND_MCX})
+_KINDS = frozenset({KIND_X, KIND_H, KIND_Z})
+#: The kinds that may carry controls; an H never does.
+_CONTROLLABLE = frozenset({KIND_X, KIND_Z})
 
 
 def _qubits(mask: int):
@@ -36,10 +35,12 @@ def _from_msb_first(mask: int, width: int) -> int:
 class Gate(NamedTuple):
     """One gate: a target qubit plus positive and negative control masks.
 
-    Bit q of ``pos``/``neg`` stands for qubit q.  ``x``/``mcx`` flip the
-    target when every control matches its polarity; ``h``/``z``/``mcz``
-    exist only for search-circuit assembly and are rejected by the classical
-    simulator.  ``Circuit`` validates its gates against its width.
+    Bit q of ``pos``/``neg`` stands for qubit q.  The kind says what the
+    gate does and the masks say when: an ``x`` flips its target and a ``z``
+    negates its target's 1 amplitude when every control matches its
+    polarity; an ``h`` has no controls.  ``h`` and ``z`` exist only for
+    search-circuit assembly and are rejected by the classical simulator.
+    ``Circuit`` validates its gates against its width.
     """
 
     kind: str
@@ -61,14 +62,11 @@ def z(target: int) -> Gate:
 
 
 def mcx(target: int, pos: int = 0, neg: int = 0) -> Gate:
-    return Gate(KIND_MCX if pos | neg else KIND_X, target, pos, neg)
+    return Gate(KIND_X, target, pos, neg)
 
 
 def mcz(target: int, pos: int = 0, neg: int = 0) -> Gate:
-    return Gate(KIND_MCZ if pos | neg else KIND_Z, target, pos, neg)
-
-
-_UNCONTROLLED = frozenset({KIND_X, KIND_H, KIND_Z})
+    return Gate(KIND_Z, target, pos, neg)
 
 
 @dataclass
@@ -94,7 +92,7 @@ class Circuit:
             kind, target, pos, neg = gate
             mask = pos | neg
             if (not 0 <= target < width or mask < 0 or mask >> width or pos & neg
-                    or mask >> target & 1 or (mask and kind in _UNCONTROLLED)):
+                    or mask >> target & 1 or kind not in (_CONTROLLABLE if mask else _KINDS)):
                 raise ValueError(f"malformed gate {gate} in a {width}-qubit circuit")
 
     def replace_gates(self, gates: list[Gate]) -> "Circuit":
@@ -138,21 +136,17 @@ def lower_polarity(circuit: Circuit) -> Circuit:
 
     for gate in circuit.gates:
         kind, target, pos, neg = gate
-        if kind == KIND_X:
-            # An explicit X cancels a pending sandwich X on the same wire.
+        if kind == KIND_X and not pos | neg:
+            # An uncontrolled X cancels a pending sandwich X on the same wire.
             if flipped >> target & 1:
                 flipped ^= 1 << target
             else:
                 out.append(gate)
             continue
-        if kind in (KIND_H, KIND_Z):
-            flush(1 << target)
-            out.append(gate)
-            continue
         if pos & flipped:
             flush(pos)
-        if kind == KIND_MCZ:
-            # Z-type gates read their target; an X flip on X-type targets
+        if kind != KIND_X:
+            # H and Z gates read their target; an X flip on an X's target
             # commutes with the conditional flip and may stay pending.
             flush(1 << target)
         if neg:

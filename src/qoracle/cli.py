@@ -252,8 +252,7 @@ def _cmd_verify(args) -> int:
 def _cmd_grover(args) -> int:
     _require_positive("--shots", args.shots)
     if args.deck == bool(args.pla):
-        print("choose exactly one of --deck --query ... or --pla FILE", file=sys.stderr)
-        return EXIT_USAGE
+        raise QOracleError("choose exactly one of --deck --query ... or --pla FILE")
     if args.deck:
         table = grover.card_query_to_pla(grover.parse_query(args.query))
         source = f"deck:{args.query}"
@@ -261,12 +260,10 @@ def _cmd_grover(args) -> int:
         table = pla.parse_pla(Path(args.pla).read_text())
         source = Path(args.pla).stem
     if table.m != 1:
-        print("search predicates need exactly one output", file=sys.stderr)
-        return EXIT_USAGE
+        raise QOracleError("search predicates need exactly one output")
     marked = [x for x, value in enumerate(pla.expand(table).entries.tolist()) if value == 1]
     if not marked:
-        print("the predicate marks no states; nothing to search", file=sys.stderr)
-        return EXIT_USAGE
+        raise QOracleError("the predicate marks no states; nothing to search")
 
     oracle = run_synthesis(table, "esop", source=source).circuit
     n = table.n

@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import json
 
-from .circuit import KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, Gate
+from .circuit import KIND_H, KIND_X, KIND_Z, Circuit, Gate
 from .errors import QOracleError
 
 #: Netlist spelling of a control's polarity.
 POSITIVE = "+"
 NEGATIVE = "-"
 
-_SIMPLE = {KIND_X: "x", KIND_H: "h", KIND_Z: "z"}
-_CONTROLLED = {KIND_MCX: "x", KIND_MCZ: "z"}
+#: Each kind's netlist spellings without and with controls; the first is
+#: also its QASM name.  An H has no controlled spelling.
+_SPELLINGS = {KIND_X: ("x", "mcx"), KIND_H: ("h",), KIND_Z: ("z", "mcz")}
+#: A netlist spelling's kind and whether the gate has controls.
+_KIND_OF = {name: (kind, controlled) for kind, names in _SPELLINGS.items()
+          for controlled, name in enumerate(names)}
 
 
 class _Rendered(dict):
@@ -42,9 +46,8 @@ def to_qasm(circuit: Circuit) -> str:
     texts = _Rendered(lambda pos: texts[pos ^ 1 << pos.bit_length() - 1]
                       + operands[pos.bit_length() - 1])
     texts[0] = ""
-    heads = {kind: [f"{name} "] for kind, name in _SIMPLE.items()}
-    heads.update((kind, [f"ctrl({k}) @ {name} " for k in range(width + 1)])
-                 for kind, name in _CONTROLLED.items())
+    heads = {kind: [f"ctrl({k}) @ {names[0]} " if k else f"{names[0]} " for k in range(width)]
+             for kind, names in _SPELLINGS.items()}
     lines = ["OPENQASM 3.0;", f"qubit[{width}] q;"]
     for kind, target, pos, neg in circuit.gates:
         if neg:
@@ -59,11 +62,12 @@ def to_qasm(circuit: Circuit) -> str:
 def to_json(circuit: Circuit) -> str:
     """Serialize to the JSON netlist, gates in execution order.
 
-    A gate is its kind's head, its target's text and its control pairs,
-    each rendered once per call and joined as text, in the bytes
-    ``json.dumps`` writes for the whole document.  The control masks are
-    keyed as ``neg << width | pos``, and a key's pairs are those of the key
-    without its top qubit, then that qubit's.
+    A gate is its spelling's head (``mcx``/``mcz`` exactly when it has
+    controls), its target's text and its control pairs, each rendered once
+    per call and joined as text, in the bytes ``json.dumps`` writes for the
+    whole document.  The control masks are keyed as ``neg << width | pos``,
+    and a key's pairs are those of the key without its top qubit, then that
+    qubit's.
     """
     width = circuit.width
     positive = [f'[{q}, "{POSITIVE}"]' for q in range(width)]
@@ -78,8 +82,9 @@ def to_json(circuit: Circuit) -> str:
 
     texts = _Rendered(pairs)
     texts[0] = ""
-    heads = _Rendered(lambda kind: f'{{"kind": {json.dumps(kind)}, "target": ')
-    gates = [f"{heads[kind]}{targets[target]}{texts[neg << width | pos]}]}}"
+    heads = {kind: [f'{{"kind": "{name}", "target": ' for name in names]
+             for kind, names in _SPELLINGS.items()}
+    gates = [f"{heads[kind][pos | neg != 0]}{targets[target]}{texts[neg << width | pos]}]}}"
              for kind, target, pos, neg in circuit.gates]
     roles = [[circuit.roles_in[q], circuit.roles_out[q]] for q in range(width)]
     head = json.dumps({"width": width, "roles": roles})
@@ -91,9 +96,9 @@ def from_json(text: str) -> Circuit:
     """Decode a JSON netlist; inverse of to_json.
 
     The width and every qubit index must be JSON integers, every gate kind
-    one of the circuit kinds, and ``roles`` one ``[input, output]`` pair per
-    qubit, checked before anything of the width's size is built; anything
-    else raises ``QOracleError``.
+    a spelling that agrees with its control list, and ``roles`` one
+    ``[input, output]`` pair per qubit, checked before anything of the
+    width's size is built; anything else raises ``QOracleError``.
     """
     try:
         doc = json.loads(text)
@@ -125,11 +130,15 @@ def _integer(value, name: str) -> int:
 
 def _gate(entry, width: int) -> Gate:
     """One netlist gate entry as a ``Gate``; ``Circuit`` checks it against the width."""
-    kind = entry["kind"]
-    if kind not in _SIMPLE and kind not in _CONTROLLED:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    return Gate(kind, _integer(entry["target"], "target qubit"),
-                *_masks(entry.get("controls", []), width))
+    spelling = entry["kind"]
+    if spelling not in _KIND_OF:
+        raise ValueError(f"unknown gate kind {spelling!r}")
+    kind, controlled = _KIND_OF[spelling]
+    target = _integer(entry["target"], "target qubit")
+    pos, neg = _masks(entry.get("controls", []), width)
+    if controlled != (pos | neg != 0):
+        raise ValueError(f"{spelling} gate {'without' if controlled else 'with'} controls")
+    return Gate(kind, target, pos, neg)
 
 
 def _masks(controls, width: int) -> tuple[int, int]:

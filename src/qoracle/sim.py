@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CLASSICAL_KINDS, KIND_H, KIND_MCX, KIND_MCZ, KIND_X, KIND_Z, Circuit, _qubits
+from .circuit import KIND_X, KIND_Z, Circuit, _qubits
 from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
 from .errors import QOracleError, TooWide
 from .pla import SpecTable, _word_dtype
@@ -55,7 +55,7 @@ def _values(planes: list[int], size: int) -> np.ndarray:
 
 
 def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
-    """Apply an X/MCX cascade to per-qubit bit-planes in place.
+    """Apply a cascade of X gates to per-qubit bit-planes in place.
 
     Each plane holds one bit per pattern and ``full`` sets all of them; a
     gate ANDs its control planes (complemented for negative controls) and
@@ -64,7 +64,7 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
     """
     qubits: dict[int, list[int]] = {}
     for kind, target, pos, neg in circuit.gates:
-        if kind not in CLASSICAL_KINDS:
+        if kind != KIND_X:
             raise QOracleError(f"{kind} gate has no classical action")
         fire = full
         if pos:
@@ -156,7 +156,7 @@ def zero_state(width: int) -> StateVector:
 
 
 def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply X/H/Z/MCX/MCZ gates to a statevector (width capped at 20).
+    """Apply X, H and Z gates to a statevector (width capped at 20).
 
     The amplitudes sit on one axis per qubit.  Each gate acts on the block
     where its controls hold, split by its target into a 0 and a 1 half.
@@ -178,15 +178,13 @@ def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
         lo = tuple(at)
         at[target] = 1
         hi = tuple(at)
-        if kind in (KIND_X, KIND_MCX):
+        if kind == KIND_X:
             v[lo], v[hi] = v[hi], v[lo].copy()
-        elif kind == KIND_H:
-            a, b = v[lo], v[hi]
-            v[lo], v[hi] = (a + b) * inv_sqrt2, (a - b) * inv_sqrt2
-        elif kind in (KIND_Z, KIND_MCZ):
+        elif kind == KIND_Z:
             v[hi] *= -1.0
         else:
-            raise QOracleError(f"statevector backend cannot apply {kind}")
+            a, b = v[lo], v[hi]
+            v[lo], v[hi] = (a + b) * inv_sqrt2, (a - b) * inv_sqrt2
     return StateVector(width, v.reshape(-1))
 
 

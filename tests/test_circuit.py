@@ -16,25 +16,30 @@ from conftest import classical_circuits, control_masks, gate_controls, induced_p
 
 def test_gate_validation():
     malformed = [
-        circ.Gate("mcx", 1, 1 << 1),          # control on the target
-        circ.Gate("mcx", 0, 1 << 1, 1 << 1),  # qubit 1 both positive and negative
-        circ.Gate("x", 0, 1 << 1),            # controls on an X
-        circ.Gate("mcx", 0, 1 << 3),          # control outside the width
-        circ.Gate("mcx", 3, 1 << 0),          # target outside the width
-        circ.Gate("mcx", -1, 1 << 0),         # negative target
-        circ.Gate("mcx", 0, 0, -2),           # negative control mask
+        circ.Gate(circ.KIND_X, 1, 1 << 1),          # control on the target
+        circ.Gate(circ.KIND_X, 0, 1 << 1, 1 << 1),  # qubit 1 both positive and negative
+        circ.Gate(circ.KIND_H, 0, 1 << 1),          # controls on an H
+        circ.Gate(circ.KIND_X, 0, 1 << 3),          # control outside the width
+        circ.Gate(circ.KIND_X, 3, 1 << 0),          # target outside the width
+        circ.Gate(circ.KIND_X, -1, 1 << 0),         # negative target
+        circ.Gate(circ.KIND_X, 0, 0, -2),           # negative control mask
+        circ.Gate("foo", 0),                        # unknown kind
+        circ.Gate("mcx", 0, 1 << 1),                # a netlist spelling, not a kind
     ]
     for gate in malformed:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed gate"):
             circ.Circuit(3, [gate])
+
+
+def test_roles_must_cover_every_qubit():
+    with pytest.raises(ValueError, match="^role annotations must cover every qubit$"):
+        circ.Circuit(2, [], roles_in=("input",))
 
 
 def test_lower_basic_sandwich():
     c = circ.Circuit(3, [circ.mcx(2, 1 << 0, 1 << 1)])
     lowered = circ.lower_polarity(c)
-    kinds = [(g.kind, g.target) for g in lowered.gates]
-    assert kinds == [("x", 1), ("mcx", 2), ("x", 1)]
-    assert lowered.gates[1] == circ.mcx(2, 1 << 0 | 1 << 1)
+    assert lowered.gates == [circ.x(1), circ.mcx(2, 1 << 0 | 1 << 1), circ.x(1)]
 
 
 def test_lower_all_positive_unchanged():
@@ -49,7 +54,7 @@ def test_lower_elides_shared_sandwich():
         3, [circ.mcx(2, 1 << 0, 1 << 1), circ.mcx(0, 1 << 2, 1 << 1)]
     )
     lowered = circ.lower_polarity(c)
-    assert sum(1 for g in lowered.gates if g.kind == "x") == 2
+    assert sum(1 for g in lowered.gates if not g.pos | g.neg) == 2
     assert induced_permutation(lowered) == induced_permutation(c)
 
 
@@ -66,7 +71,7 @@ def test_lower_cancels_explicit_x():
     c = circ.Circuit(2, [circ.mcx(0, 0, 1 << 1), circ.x(1)])
     lowered = circ.lower_polarity(c)
     assert induced_permutation(lowered) == induced_permutation(c)
-    assert sum(1 for g in lowered.gates if g.kind == "x") == 1
+    assert sum(1 for g in lowered.gates if not g.pos | g.neg) == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -81,8 +86,8 @@ def reference_lower(gates):
     """Polarity lowering on (qubit, polarity) tuples, gate for gate.
 
     Flushes go in ascending qubit order, consecutive gates share one
-    sandwich, an explicit X cancels a pending sandwich X, and an MCZ flushes
-    its target after its positive controls.
+    sandwich, an uncontrolled X cancels a pending sandwich X, and every H or
+    Z flushes its target after its positive controls.
     """
     flipped: set[int] = set()
     out = []
@@ -95,18 +100,14 @@ def reference_lower(gates):
 
     for gate in gates:
         kind, target, controls = gate.kind, gate.target, gate_controls(gate)
-        if kind == "x":
+        if kind == "x" and not controls:
             if target in flipped:
                 flipped.remove(target)
             else:
                 out.append((kind, target, controls))
             continue
-        if kind in ("h", "z"):
-            flush({target})
-            out.append((kind, target, controls))
-            continue
         flush({q for q, pol in controls if pol == "+"})
-        if kind == "mcz":
+        if kind in ("h", "z"):
             flush({target})
         for q in sorted(q for q, pol in controls if pol == "-"):
             if q not in flipped:
@@ -119,7 +120,7 @@ def reference_lower(gates):
 
 @st.composite
 def mixed_circuits(draw):
-    """Classical circuits with X, H, Z and MCZ gates inserted at random."""
+    """Classical circuits with X, H and Z gates inserted at random, some Z ones controlled."""
     c = draw(classical_circuits())
     gates = list(c.gates)
     for _ in range(draw(st.integers(0, 6))):

@@ -230,6 +230,12 @@ def test_run_synthesis_rejects_unknown_completion():
         cli.run_synthesis(table, "tbs", completion="bogus")
 
 
+def test_run_synthesis_rejects_unknown_method():
+    table = pla.parse_pla(Path(SQUAR5).read_text())
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        cli.run_synthesis(table, "bogus")
+
+
 STAGES = {
     "esop": ("esop.sop_to_esop", "esop.minimize_esop", "circuit.lower_polarity",
              "sim.verify_oracle"),
@@ -520,6 +526,17 @@ def test_verify_refuses_esop_rtt_netlist_against_its_source(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 9 input qubits for an n=5 table")
 
 
+def test_verify_refuses_netlist_missing_an_output_role(tmp_path, capsys):
+    netlist = _synth_netlist(tmp_path, "esop")
+    doc = json.loads(netlist.read_text())
+    last = max(q for q, (_, role) in enumerate(doc["roles"]) if role == "output")
+    doc["roles"][last][1] = "garbage"
+    netlist.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", SQUAR5, "--circuit", str(netlist)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: 7 output qubits for an m=8 table"]
+
+
 def test_verify_word_width_limit(tmp_path, capsys):
     # apex4's 28-qubit oracle fits one int64 word and ex5's 71-qubit one does
     # not; verification simulates bit-planes, so both are checked in full.
@@ -572,10 +589,16 @@ def test_verify_malformed_netlist_gate_exits_2(tmp_path, capsys):
         # int() would read these as qubits; JSON true is a Python int.
         "float-control": with_gate(controls=gate["controls"] + [[free + 0.7, "+"]]),
         "string-control": with_gate(controls=gate["controls"] + [[str(free), "+"]]),
-        "bool-target": with_gate(target=True, controls=[]),
+        "bool-target": with_gate(kind="x", target=True, controls=[]),
         "float-target": with_gate(target=float(gate["target"])),
         "bool-width": json.dumps({**doc, "width": True}),
         "unknown-kind": with_gate(kind="foo"),
+        # A kind's netlist spelling must agree with its control list.
+        "controlless-mcx": with_gate(kind="mcx", controls=[]),
+        "controlless-mcz": with_gate(kind="mcz", controls=[]),
+        "controlled-x": with_gate(kind="x"),
+        "controlled-z": with_gate(kind="z"),
+        "controlled-h": with_gate(kind="h"),
         "list-provenance": json.dumps({**doc, "provenance": []}),
         "deep-nesting": "[" * 100_000,
     }
@@ -711,6 +734,20 @@ def test_python_m_qoracle_runs_cli(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_import_leaves_process_pools_unloaded():
+    # bench --jobs imports its pool when it needs one; importing the package
+    # in a fresh interpreter must not pay for it.
+    package_root = Path(qoracle.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qoracle; print(sorted("
+         "{'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_grover_deck_diamonds(tmp_path):
     out = tmp_path / "hist.csv"
     code = main([
@@ -777,8 +814,21 @@ def test_grover_needs_exactly_one_source(tmp_path, capsys):
         ]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "choose exactly one of --deck --query ... or --pla FILE"]
+            "error: choose exactly one of --deck --query ... or --pla FILE"]
         assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ((BENCH_DIR / "squar5.pla").read_text(), "search predicates need exactly one output"),
+    (".i 2\n.o 1\n11 0\n.e\n", "the predicate marks no states; nothing to search"),
+], ids=["eight-outputs", "marks-nothing"])
+def test_grover_refuses_predicates_it_cannot_search(tmp_path, capsys, text, message):
+    predicate = tmp_path / "pred.pla"
+    predicate.write_text(text)
+    out = tmp_path / "h.csv"
+    assert main(["grover", "--pla", str(predicate), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_bench_parallel_jobs_match_serial(tmp_path):

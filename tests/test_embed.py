@@ -42,6 +42,11 @@ def test_resolve_zeros():
     assert resolved.entries.tolist() == [0, pla.UNSPECIFIED] and resolved.dc.tolist() == [0, 0]
 
 
+def test_resolve_rejects_unknown_policy():
+    with pytest.raises(ValueError, match="^unknown policy 'bogus'$"):
+        embed.resolve_dontcares(spec_table(1, 1, {0: (0, 1)}), "bogus")
+
+
 def test_resolve_min_duplication_avoids_crowded_pattern():
     # Rows 00 and 10 already use pattern 01 twice, so the free bit of the
     # 0- row must complete to 00.
