@@ -27,6 +27,7 @@ COMPLETIONS = ("hamming", "naive")
 
 #: The longest ``timeout_s`` accepted; ``setitimer`` overflows a few decades above it.
 MAX_TIMEOUT_S = 1e6
+DEFAULT_TIMEOUT_S = 600.0
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,13 +47,13 @@ def _on_alarm(timeout_s: float, signum, frame) -> None:
     """Raise ``SynthesisTimeout`` naming the stage that ``run_synthesis`` was running.
 
     The stage is the frame ``run_synthesis`` called, or ``run_synthesis``
-    itself between stages.
+    itself between stages and just before or after the call.
     """
-    while (frame.f_code is not _RUN_SYNTHESIS and frame.f_back is not None
-           and frame.f_back.f_code is not _RUN_SYNTHESIS):
+    while frame.f_back is not None and frame.f_back.f_code is not _RUN_SYNTHESIS:
         frame = frame.f_back
-    raise SynthesisTimeout(f"gave up after {timeout_s:g} s in "
-                           f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+    stage = (f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+             if frame.f_back is not None else f"{__name__}.run_synthesis")
+    raise SynthesisTimeout(f"gave up after {timeout_s:g} s in {stage}")
 
 
 def run_synthesis(
@@ -64,20 +65,13 @@ def run_synthesis(
     partial: bool = False,
     dc_minimize: bool = False,
     completion: str = "hamming",
-    timeout_s: float = 600.0,
 ) -> SynthResult:
     """Run one full synthesis pipeline and verify the result.
 
-    Raises TooWide / GateLimitExceeded / SynthesisTimeout when the method
-    cannot handle the function within its limits, and VerificationFailed if
-    the finished circuit disagrees with the table.
-
-    ``timeout_s`` bounds everything from expansion through verification with
-    one SIGALRM interval timer (``ITIMER_REAL``), so it works on POSIX and on
-    the main thread only, and there is no cooperative fallback.  Python runs
-    the handler between bytecodes, so a numpy call in progress finishes
-    first.  The timer is disarmed and the previous SIGALRM handler restored
-    on every exit.
+    Raises TooWide / GateLimitExceeded when the method cannot handle the
+    function within its limits, and VerificationFailed if the finished
+    circuit disagrees with the table.  It arms no timer, so any thread may
+    call it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -86,44 +80,34 @@ def run_synthesis(
     if dc_minimize and method == "esop":
         raise ValueError("dc_minimize resolves don't-cares for the embedding, "
                          "which method 'esop' does not build")
-    _require_positive("timeout_s", timeout_s, MAX_TIMEOUT_S)
-    previous = signal.signal(signal.SIGALRM, functools.partial(_on_alarm, timeout_s))
-    try:
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        try:
-            started = time.monotonic()
-            spec = pla.expand(table, partial=partial)
-            embedding = None
-            if method != "esop":
-                # Stages are looked up at call time, so a patched attribute is the one run.
-                policy = embed.RESOLVE_MIN_DUPLICATION if dc_minimize else embed.RESOLVE_ZEROS
-                resolved = embed.resolve_dontcares(spec, policy)
-                partial_spec, embedding = embed.rtt_embed(resolved)
-                total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
-                embed.finish_report(embedding, partial_spec, total)
+    started = time.monotonic()
+    spec = pla.expand(table, partial=partial)
+    embedding = None
+    if method != "esop":
+        # Stages are looked up at call time, so a patched attribute is the one run.
+        resolved = embed.resolve_dontcares(spec, min_duplication=dc_minimize)
+        partial_spec, embedding = embed.rtt_embed(resolved)
+        total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
+        embed.finish_report(embedding, partial_spec, total)
 
-            if method in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
-                raw = tbs.tbs_synthesize(total, direction=method)
-                check_spec = resolved
-            else:
-                if method == "esop-rtt":
-                    # The completed permutation's minterms are already a disjoint ESOP.
-                    check_spec = embed.reexpress(total, embedding, table.m)
-                    cube_list = esop.spec_to_esop(check_spec)
-                else:
-                    check_spec, cube_list = spec, esop.sop_to_esop(table)
-                if minimize:
-                    cube_list = esop.minimize_esop(cube_list)
-                raw = esop.esop_to_circuit(cube_list, method=method)
-            raw.source = source
+    if method in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
+        raw = tbs.tbs_synthesize(total, direction=method)
+        check_spec = resolved
+    else:
+        if method == "esop-rtt":
+            # The completed permutation's minterms are already a disjoint ESOP.
+            check_spec = embed.reexpress(total, embedding, table.m)
+            cube_list = esop.spec_to_esop(check_spec)
+        else:
+            check_spec, cube_list = spec, esop.sop_to_esop(table)
+        if minimize:
+            cube_list = esop.minimize_esop(cube_list)
+        raw = esop.esop_to_circuit(cube_list, method=method)
+    raw.source = source
 
-            lowered = circ.lower_polarity(raw)
-            report = circ.metrics(lowered, int((time.monotonic() - started) * 1e6))
-            verification = sim.verify_oracle(lowered, check_spec)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    lowered = circ.lower_polarity(raw)
+    report = circ.metrics(lowered, int((time.monotonic() - started) * 1e6))
+    verification = sim.verify_oracle(lowered, check_spec)
     if not verification.passed:
         raise VerificationFailed(verification)
     return SynthResult(lowered, report, embedding, verification)
@@ -131,6 +115,26 @@ def run_synthesis(
 
 # Taken once, since a tracer may rebind the module's ``run_synthesis`` to a wrapper.
 _RUN_SYNTHESIS = run_synthesis.__code__
+
+
+def _run_with_timeout(timeout_s: float, table: pla.PlaTable, method: str,
+                      **options) -> SynthResult:
+    """``run_synthesis`` bounded by one SIGALRM interval timer (``ITIMER_REAL``).
+
+    It works on POSIX and on the main thread only.  Python runs the handler
+    between bytecodes, so a numpy call in progress finishes first.  The timer
+    is disarmed and the previous SIGALRM handler restored on every exit.
+    """
+    _require_positive("timeout_s", timeout_s, MAX_TIMEOUT_S)
+    previous = signal.signal(signal.SIGALRM, functools.partial(_on_alarm, timeout_s))
+    try:
+        signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        try:
+            return run_synthesis(table, method, **options)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --- bench harness ---------------------------------------------------------
@@ -148,8 +152,8 @@ def bench_row(task: tuple[str, str, float, str]) -> list:
     table = pla.parse_pla(Path(path).read_text())
     head = [name, table.n, table.m, method]
     try:
-        r = run_synthesis(table, method, source=name, completion=completion,
-                          timeout_s=timeout_s).report
+        r = _run_with_timeout(timeout_s, table, method, source=name,
+                              completion=completion).report
     except (TooWide, GateLimitExceeded):
         return head + [""] * 4 + ["too_large"]
     except SynthesisTimeout:
@@ -169,7 +173,8 @@ def _require_positive(flag: str, value: float, most: float = math.inf) -> None:
 def _cmd_synth(args) -> int:
     _require_positive("--timeout-s", args.timeout_s, MAX_TIMEOUT_S)
     table = pla.parse_pla(Path(args.infile).read_text())
-    result = run_synthesis(
+    result = _run_with_timeout(
+        args.timeout_s,
         table,
         args.method,
         source=Path(args.infile).stem,
@@ -177,7 +182,6 @@ def _cmd_synth(args) -> int:
         partial=args.partial,
         dc_minimize=args.dc_minimize,
         completion=args.completion,
-        timeout_s=args.timeout_s,
     )
     Path(args.out).write_text(emit.to_qasm(result.circuit))
     if args.netlist:
@@ -265,7 +269,7 @@ def _cmd_grover(args) -> int:
     if not marked:
         raise QOracleError("the predicate marks no states; nothing to search")
 
-    oracle = run_synthesis(table, "esop", source=source).circuit
+    oracle = _run_with_timeout(DEFAULT_TIMEOUT_S, table, "esop", source=source).circuit
     n = table.n
     iterations = None if args.iterations == "auto" else int(args.iterations)
     plan = grover.plan_search(n, len(marked), iterations)
@@ -331,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="leave minterms covered by no cube unspecified")
     p.add_argument("--dc-minimize", action="store_true",
                    help="resolve output don't-cares to minimize duplication (not esop)")
-    p.add_argument("--timeout-s", type=float, default=600.0)
+    p.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
     p.add_argument("--completion", choices=COMPLETIONS, default="hamming")
     p.set_defaults(func=_cmd_synth)
 
@@ -339,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--methods", default="esop,esop-rtt,tbs")
     p.add_argument("--csv", required=True)
-    p.add_argument("--timeout-s", type=float, default=600.0)
+    p.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--completion", choices=COMPLETIONS, default="hamming")
     p.set_defaults(func=_cmd_bench)

@@ -15,9 +15,6 @@ import numpy as np
 from .errors import QOracleError, TooWide
 from .pla import EXPANSION_LIMIT, UNSPECIFIED, SpecTable, _fill
 
-RESOLVE_ZEROS = "zeros"
-RESOLVE_MIN_DUPLICATION = "min-duplication"
-
 ROLE_INPUT = "input"
 ROLE_ANCILLA = "ancilla"
 ROLE_OUTPUT = "output"
@@ -68,22 +65,20 @@ def max_output_multiplicity(spec: SpecTable) -> int:
     return int(np.unique(values, return_counts=True)[1].max()) if len(values) else 0
 
 
-def resolve_dontcares(spec: SpecTable, policy: str = RESOLVE_ZEROS) -> SpecTable:
+def resolve_dontcares(spec: SpecTable, *, min_duplication: bool = False) -> SpecTable:
     """Assign every don't-care output bit.
 
-    ``zeros`` clears them; ``min-duplication`` walks the rows with
+    By default they are cleared.  ``min_duplication`` walks the rows with
     don't-cares in ascending minterm order and gives each one the completion
     whose pattern currently has the lowest multiplicity, ties toward the
     all-zero assignment.  Completions come in ascending order, so the first
     pattern not yet used wins outright; only a row whose every completion is
     taken compares them all.
     """
-    if policy not in (RESOLVE_ZEROS, RESOLVE_MIN_DUPLICATION):
-        raise ValueError(f"unknown policy {policy!r}")
     if not spec.has_dontcares():
         return spec
     entries = spec.entries.copy()
-    if policy == RESOLVE_MIN_DUPLICATION:
+    if min_duplication:
         rows = np.flatnonzero(spec.dc)
         counts = Counter(spec.entries[(spec.dc == 0) & (spec.entries != UNSPECIFIED)].tolist())
         for x, value, dc in zip(rows.tolist(), entries[rows].tolist(), spec.dc[rows].tolist()):

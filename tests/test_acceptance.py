@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qoracle import circuit as circ
-from qoracle import embed, esop, grover, pla, sim, tbs
+from qoracle import cli, embed, esop, grover, pla, sim, tbs
 from qoracle.cli import run_synthesis
 from qoracle.errors import GateLimitExceeded, SynthesisTimeout, TooWide
 
@@ -53,8 +53,8 @@ def matrix(bench_tables):
     for name, table in bench_tables.items():
         for method in ("esop", "esop-rtt", "tbs"):
             try:
-                outcomes[(name, method)] = run_synthesis(
-                    table, method, source=name, timeout_s=600
+                outcomes[(name, method)] = cli._run_with_timeout(
+                    600, table, method, source=name
                 )
             except (TooWide, GateLimitExceeded, SynthesisTimeout) as exc:
                 outcomes[(name, method)] = exc

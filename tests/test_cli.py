@@ -302,7 +302,7 @@ def test_timeout_names_the_running_stage(monkeypatch, caller_alarm, method, stag
     started = time.monotonic()
     with pytest.raises(SynthesisTimeout,
                        match=f"^gave up after 0.2 s in {re.escape('qoracle.' + stage)}$"):
-        cli.run_synthesis(table, method, timeout_s=0.2)
+        cli._run_with_timeout(0.2, table, method)
     assert time.monotonic() - started < 1
     _assert_alarm_restored(caller_alarm)
 
@@ -333,18 +333,43 @@ def test_run_synthesis_restores_alarm_on_every_exit(monkeypatch, caller_alarm, b
     if patch is not None:
         patch(monkeypatch)
     if raised is None:
-        result = cli.run_synthesis(bench_tables[name], method, timeout_s=timeout_s)
+        result = cli._run_with_timeout(timeout_s, bench_tables[name], method)
         assert result.verification.passed
     else:
         with pytest.raises(raised):
-            cli.run_synthesis(bench_tables[name], method, timeout_s=timeout_s)
+            cli._run_with_timeout(timeout_s, bench_tables[name], method)
     _assert_alarm_restored(caller_alarm)
 
 
 @pytest.mark.parametrize("timeout_s", [0, -1, 1e12, float("nan"), float("inf")])
 def test_run_synthesis_refuses_timeouts_the_timer_cannot_arm(bench_tables, timeout_s):
     with pytest.raises(ValueError, match="^timeout_s must be"):
-        cli.run_synthesis(bench_tables["squar5"], "esop", timeout_s=timeout_s)
+        cli._run_with_timeout(timeout_s, bench_tables["squar5"], "esop")
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_run_synthesis_runs_off_the_main_thread(bench_tables, method):
+    # The pool's worker is a threading.Thread; result() re-raises what it raised.
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        result = pool.submit(cli.run_synthesis, bench_tables["squar5"], method).result()
+    assert result.verification.passed
+
+
+def test_run_synthesis_leaves_the_callers_timer_alone(caller_alarm, bench_tables):
+    signal.setitimer(signal.ITIMER_REAL, 100)
+    try:
+        cli.run_synthesis(bench_tables["squar5"], "esop")
+        assert signal.getsignal(signal.SIGALRM) is caller_alarm
+        assert signal.getitimer(signal.ITIMER_REAL)[0] > 99
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def test_alarm_outside_run_synthesis_names_run_synthesis():
+    # Under a 1e-9 s budget the alarm can land in the helper, before the call or after it.
+    with pytest.raises(SynthesisTimeout,
+                       match=r"^gave up after 0\.5 s in qoracle\.cli\.run_synthesis$"):
+        cli._on_alarm(0.5, signal.SIGALRM, sys._getframe())
 
 
 @pytest.mark.parametrize("name", ["squar5", "dist"])
@@ -818,6 +843,17 @@ def test_grover_needs_exactly_one_source(tmp_path, capsys):
         assert not (tmp_path / "h.csv").exists()
 
 
+def test_grover_bounds_its_oracle_synthesis(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(esop, "sop_to_esop", slow(esop.sop_to_esop))
+    out = tmp_path / "h.csv"
+    assert main(["grover", "--deck", "--query", "suit=diamonds,rank=10",
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "timeout: gave up after 0.2 s in qoracle.esop.sop_to_esop"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,message", [
     ((BENCH_DIR / "squar5.pla").read_text(), "search predicates need exactly one output"),
     (".i 2\n.o 1\n11 0\n.e\n", "the predicate marks no states; nothing to search"),
@@ -905,7 +941,7 @@ def _esop_of_min_duplication(table, partial=False, minimize=True):
     are called one by one; the circuit is checked against the unresolved table.
     """
     spec = pla.expand(table, partial=partial)
-    cubes = esop.spec_to_esop(embed.resolve_dontcares(spec, embed.RESOLVE_MIN_DUPLICATION))
+    cubes = esop.spec_to_esop(embed.resolve_dontcares(spec, min_duplication=True))
     if minimize:
         cubes = esop.minimize_esop(cubes)
     lowered = circ.lower_polarity(esop.esop_to_circuit(cubes))

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoracle import embed, pla
-from qoracle.cli import run_synthesis
+from qoracle import cli, embed, pla
 from qoracle.errors import QOracleError, SynthesisTimeout, TooWide
 
 from conftest import spec_rows, spec_table
@@ -43,15 +42,16 @@ def test_resolve_zeros():
 
 
 def test_resolve_rejects_unknown_policy():
-    with pytest.raises(ValueError, match="^unknown policy 'bogus'$"):
-        embed.resolve_dontcares(spec_table(1, 1, {0: (0, 1)}), "bogus")
+    # The flag is keyword-only, so a policy string cannot read as true.
+    with pytest.raises(TypeError):
+        embed.resolve_dontcares(spec_table(1, 1, {0: (0, 1)}), "min-duplication")
 
 
 def test_resolve_min_duplication_avoids_crowded_pattern():
     # Rows 00 and 10 already use pattern 01 twice, so the free bit of the
     # 0- row must complete to 00.
     spec = spec_table(2, 2, {0b00: (0b01, 0), 0b01: (0b00, 0b01), 0b10: (0b01, 0)})
-    resolved = embed.resolve_dontcares(spec, embed.RESOLVE_MIN_DUPLICATION)
+    resolved = embed.resolve_dontcares(spec, min_duplication=True)
     assert spec_rows(resolved)[0b01] == (0b00, 0)
 
 
@@ -80,7 +80,7 @@ def dontcare_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(dontcare_specs())
 def test_min_duplication_matches_brute_force_min(spec):
-    resolved = embed.resolve_dontcares(spec, embed.RESOLVE_MIN_DUPLICATION)
+    resolved = embed.resolve_dontcares(spec, min_duplication=True)
     assert spec_rows(resolved) == reference_min_duplication(spec)
     assert not resolved.has_dontcares()
 
@@ -88,7 +88,7 @@ def test_min_duplication_matches_brute_force_min(spec):
 def test_min_duplication_finishes_rows_of_40_dontcares():
     # Each row has 2^40 completions; the first unused one is taken without looking further.
     table = pla.parse_pla(".i 3\n.o 40\n--- " + "-" * 40 + "\n.e\n")
-    resolved = embed.resolve_dontcares(pla.expand(table), embed.RESOLVE_MIN_DUPLICATION)
+    resolved = embed.resolve_dontcares(pla.expand(table), min_duplication=True)
     assert resolved.entries.tolist() == list(range(8)) and not resolved.has_dontcares()
 
 
@@ -98,7 +98,7 @@ def test_min_duplication_stops_at_the_deadline():
     started = time.monotonic()
     with pytest.raises(SynthesisTimeout,
                        match=r"^gave up after 0\.5 s in qoracle\.embed\.resolve_dontcares$"):
-        run_synthesis(table, "esop-rtt", dc_minimize=True, timeout_s=0.5)
+        cli._run_with_timeout(0.5, table, "esop-rtt", dc_minimize=True)
     assert time.monotonic() - started < 2
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import esop, pla, sim
-from qoracle.cli import run_synthesis
+from qoracle import cli, esop, pla, sim
 from qoracle.errors import SynthesisTimeout
 
 from conftest import (apply_classical, as_cubes, cube, from_cubes, gate_controls,
@@ -80,7 +79,7 @@ def test_sop_to_esop_stops_at_the_deadline():
     started = time.monotonic()
     with pytest.raises(SynthesisTimeout,
                        match=r"^gave up after 0\.5 s in qoracle\.esop\.sop_to_esop$"):
-        run_synthesis(overlapping_cubes(), "esop", timeout_s=0.5)
+        cli._run_with_timeout(0.5, overlapping_cubes(), "esop")
     assert time.monotonic() - started < 2
 
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import embed, pla, sim, tbs
-from qoracle.cli import run_synthesis
+from qoracle import cli, embed, pla, sim, tbs
 from qoracle.errors import GateLimitExceeded, QOracleError, SynthesisTimeout
 
 from conftest import BENCH_DIR, induced_permutation, slow
@@ -338,7 +337,7 @@ def test_timeout_enforced(monkeypatch):
     table = pla.parse_pla((BENCH_DIR / "squar5.pla").read_text())
     for method in ("tbs", "tbs-bidirectional"):
         with pytest.raises(SynthesisTimeout, match=r"s in qoracle\.tbs\.tbs_synthesize$"):
-            run_synthesis(table, method, timeout_s=0.1)
+            cli._run_with_timeout(0.1, table, method)
 
 
 def test_rejects_bad_arguments():
