@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 from .errors import QOracleError
-from .embed import ROLE_INPUT, ROLE_OUTPUT
+
+ROLE_INPUT = "input"
+ROLE_ANCILLA = "ancilla"
+ROLE_OUTPUT = "output"
+ROLE_GARBAGE = "garbage"
 
 KIND_X = "x"
 KIND_H = "h"
@@ -69,25 +73,29 @@ def mcz(target: int, pos: int = 0, neg: int = 0) -> Gate:
     return Gate(KIND_Z, target, pos, neg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """An ordered gate cascade over ``width`` qubits with per-qubit roles."""
+    """An ordered gate cascade over ``width`` qubits with per-qubit roles.
+
+    A built circuit cannot change: its gates and roles are tuples, checked
+    against the width once, here.  ``dataclasses.replace`` builds a circuit with new
+    gates and checks them again.
+    """
 
     width: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
     roles_in: tuple[str, ...] = ()
     roles_out: tuple[str, ...] = ()
     source: str = ""
     method: str = ""
 
     def __post_init__(self) -> None:
-        if not self.roles_in:
-            self.roles_in = (ROLE_INPUT,) * self.width
-        if not self.roles_out:
-            self.roles_out = (ROLE_OUTPUT,) * self.width
-        if len(self.roles_in) != self.width or len(self.roles_out) != self.width:
-            raise ValueError("role annotations must cover every qubit")
         width = self.width
+        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "roles_in", tuple(self.roles_in) or (ROLE_INPUT,) * width)
+        object.__setattr__(self, "roles_out", tuple(self.roles_out) or (ROLE_OUTPUT,) * width)
+        if len(self.roles_in) != width or len(self.roles_out) != width:
+            raise ValueError("role annotations must cover every qubit")
         for gate in self.gates:
             kind, target, pos, neg = gate
             mask = pos | neg
@@ -95,13 +103,8 @@ class Circuit:
                     or mask >> target & 1 or kind not in (_CONTROLLABLE if mask else _KINDS)):
                 raise ValueError(f"malformed gate {gate} in a {width}-qubit circuit")
 
-    def replace_gates(self, gates: list[Gate]) -> "Circuit":
-        return Circuit(
-            self.width, gates, self.roles_in, self.roles_out, self.source, self.method
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
     """Synthesis result sizes plus wall time."""
 
@@ -155,7 +158,7 @@ def lower_polarity(circuit: Circuit) -> Circuit:
             gate = Gate(kind, target, pos | neg)
         out.append(gate)
     flush(flipped)
-    return circuit.replace_gates(out)
+    return replace(circuit, gates=out)
 
 
 def complexity(circuit: Circuit) -> int:

@@ -35,7 +35,7 @@ EXIT_VERIFY = 3
 EXIT_LIMIT = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthResult:
     circuit: circ.Circuit
     report: circ.MetricsReport
@@ -88,10 +88,10 @@ def run_synthesis(
         resolved = embed.resolve_dontcares(spec, min_duplication=dc_minimize)
         partial_spec, embedding = embed.rtt_embed(resolved)
         total = getattr(embed, f"complete_onto_{completion}")(partial_spec)
-        embed.finish_report(embedding, partial_spec, total)
+        embedding = embed.finish_report(embedding, partial_spec, total)
 
     if method in (tbs.UNIDIRECTIONAL, tbs.BIDIRECTIONAL):
-        raw = tbs.tbs_synthesize(total, direction=method)
+        raw = tbs.tbs_synthesize(total, direction=method, source=source)
         check_spec = resolved
     else:
         if method == "esop-rtt":
@@ -102,8 +102,7 @@ def run_synthesis(
             check_spec, cube_list = spec, esop.sop_to_esop(table)
         if minimize:
             cube_list = esop.minimize_esop(cube_list)
-        raw = esop.esop_to_circuit(cube_list, method=method)
-    raw.source = source
+        raw = esop.esop_to_circuit(cube_list, method=method, source=source)
 
     lowered = circ.lower_polarity(raw)
     report = circ.metrics(lowered, int((time.monotonic() - started) * 1e6))

@@ -8,20 +8,16 @@ permutation on all 2^N bit patterns.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .circuit import ROLE_ANCILLA, ROLE_GARBAGE, ROLE_INPUT, ROLE_OUTPUT
 from .errors import QOracleError, TooWide
 from .pla import EXPANSION_LIMIT, UNSPECIFIED, SpecTable, _fill
 
-ROLE_INPUT = "input"
-ROLE_ANCILLA = "ancilla"
-ROLE_OUTPUT = "output"
-ROLE_GARBAGE = "garbage"
 
-
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingReport:
     """Size accounting for one embedding: D, v, w and the total width."""
 
@@ -178,8 +174,7 @@ def complete_onto_hamming(partial: ReversibleSpec) -> ReversibleSpec:
 def finish_report(
     report: EmbeddingReport, partial: ReversibleSpec, total: ReversibleSpec
 ) -> EmbeddingReport:
-    """Count, in place, the rows the completion filled and those it fixed."""
+    """``report`` with the rows the completion filled and those it fixed counted."""
     holes = np.flatnonzero(partial.perm == UNSPECIFIED)
-    report.completed_rows = len(holes)
-    report.identical_pairings = int((total.perm[holes] == holes).sum())
-    return report
+    return replace(report, completed_rows=len(holes),
+                   identical_pairings=int((total.perm[holes] == holes).sum()))

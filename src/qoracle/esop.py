@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _from_msb_first, mcx
-from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
+from .circuit import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT, Circuit, _from_msb_first, mcx
 from .pla import PlaTable, SpecTable, _word_dtype
 
 Row = tuple[int, int, int]
@@ -332,7 +331,7 @@ def minimize_esop(cubes: EsopCubeList) -> EsopCubeList:
     return cubes if len(result.cubes) > len(cubes.cubes) else result
 
 
-def esop_to_circuit(cubes: EsopCubeList, method: str = "esop") -> Circuit:
+def esop_to_circuit(cubes: EsopCubeList, method: str = "esop", source: str = "") -> Circuit:
     """Map each (cube, asserted output column) pair to one Toffoli gate.
 
     The circuit spans n+m qubits: the first n carry and preserve the domain
@@ -346,6 +345,6 @@ def esop_to_circuit(cubes: EsopCubeList, method: str = "esop") -> Circuit:
         for j in range(m):
             if outs >> (m - 1 - j) & 1:
                 gates.append(mcx(n + j, pos, neg))
-    return Circuit(width=n + m, gates=gates, method=method,
+    return Circuit(width=n + m, gates=gates, source=source, method=method,
                    roles_in=(ROLE_INPUT,) * n + (ROLE_ANCILLA,) * m,
                    roles_out=(ROLE_INPUT,) * n + (ROLE_OUTPUT,) * m)

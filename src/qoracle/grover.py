@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, h, mcz, x
-from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
+from .circuit import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT, Circuit, Gate, h, mcz, x
 from .errors import QOracleError
 from .pla import PlaTable
 from .sim import StateVector, apply_statevector, zero_state

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import KIND_X, KIND_Z, Circuit, _qubits
-from .embed import ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT
+from .circuit import KIND_X, KIND_Z, ROLE_ANCILLA, ROLE_INPUT, ROLE_OUTPUT, Circuit, _qubits
 from .errors import QOracleError, TooWide
 from .pla import SpecTable, _word_dtype
 
@@ -15,7 +14,7 @@ from .pla import SpecTable, _word_dtype
 SIM_LIMIT = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     total_minterms: int
     checked: int

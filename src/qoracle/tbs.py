@@ -116,7 +116,8 @@ def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> Non
         drop ^= low
 
 
-def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL) -> Circuit:
+def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
+                   source: str = "") -> Circuit:
     """Synthesize an MCT cascade realizing the given permutation table."""
     if direction not in (UNIDIRECTIONAL, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
@@ -151,9 +152,9 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL) -> 
             row = _from_msb_first(want, width)
         planes, gates = values, out_gates
         if not unidirectional:
-            source = _read(sources, _find(values, want, full), full)
-            if _cost(source, want) < _cost(value, want):
-                value, planes, gates = source, sources, in_gates
+            preimage = _read(sources, _find(values, want, full), full)
+            if _cost(preimage, want) < _cost(value, want):
+                value, planes, gates = preimage, sources, in_gates
         if len(out_gates) + len(in_gates) + (value ^ want).bit_count() > GATE_LIMIT:
             raise GateLimitExceeded(f"over {GATE_LIMIT} gates at row {row} of {size}")
         _fix(planes, value, want, full, gates)
@@ -166,4 +167,4 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL) -> 
 
     gates = [mcx(q, pos) for q, pos in in_gates + out_gates[::-1]]
     return Circuit(width=width, gates=gates, roles_in=spec.roles_in, roles_out=spec.roles_out,
-                   method=direction)
+                   source=source, method=direction)

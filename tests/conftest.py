@@ -92,6 +92,16 @@ def from_cubes(n: int, m: int, cubes: list[tuple[str, str]]) -> esop.EsopCubeLis
     return esop.EsopCubeList(n, m, [cube(inputs, outputs)[:3] for inputs, outputs in cubes])
 
 
+def xor_words(cubes: esop.EsopCubeList, xs: np.ndarray | None = None) -> np.ndarray:
+    """XOR-semantics output word of each input in ``xs`` (every minterm by default)."""
+    if xs is None:
+        xs = np.arange(1 << cubes.n)
+    out = np.zeros(len(xs), dtype=np.int64)
+    for care, value, outs in cubes.cubes:
+        out[xs & care == value] ^= outs
+    return out
+
+
 def as_cubes(cubes: esop.EsopCubeList) -> list[tuple[str, str]]:
     """The rows of an ESOP cube list rendered as 0/1/- (inputs, outputs) pairs."""
     return [(pla._literals(care, value, cubes.n), format(outs, f"0{cubes.m}b"))

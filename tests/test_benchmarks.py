@@ -9,7 +9,7 @@ import numpy as np
 
 from qoracle import embed, esop, pla
 
-from conftest import BENCH_DIR, table_from_spec
+from conftest import BENCH_DIR, table_from_spec, xor_words
 
 
 def load_manifest() -> dict:
@@ -60,14 +60,6 @@ def test_manifest_declares_true_interfaces(bench_tables):
         assert len(table.cubes) == entry["cubes"]
 
 
-def _evaluate_cubes(cubes: esop.EsopCubeList, xs: np.ndarray) -> np.ndarray:
-    """Vectorized XOR-semantics evaluation of a cube list over inputs."""
-    out = np.zeros(len(xs), dtype=np.int64)
-    for care, value, outs in cubes.cubes:
-        out[(xs & care) == value] ^= outs
-    return out
-
-
 def test_wide_expansion_cube_lists_match_completed_permutation(bench_tables):
     # The inc expansion is too wide for circuit-level simulation, so check
     # the minimized cube list itself against every row of the completed
@@ -79,7 +71,7 @@ def test_wide_expansion_cube_lists_match_completed_permutation(bench_tables):
     re_spec = embed.reexpress(total, report, table.m)
     cubes = esop.minimize_esop(esop.sop_to_esop(table_from_spec(re_spec)))
     xs = np.arange(1 << re_spec.n)
-    got = _evaluate_cubes(cubes, xs)
+    got = xor_words(cubes, xs)
     want = re_spec.entries
     assert np.array_equal(got, want)
 
@@ -92,7 +84,7 @@ def test_wide_esop_cube_lists_match_expansion(bench_tables):
         spec = pla.expand(table)
         cubes = esop.minimize_esop(esop.sop_to_esop(table))
         xs = np.arange(1 << table.n)
-        got = _evaluate_cubes(cubes, xs)
+        got = xor_words(cubes, xs)
         want = spec.entries
         assert np.array_equal(got, want), name
 

@@ -1,7 +1,11 @@
-"""Circuit IR: polarity lowering and the complexity metric."""
+"""Circuit IR: validity for life, import layering, polarity lowering and the complexity metric."""
 from __future__ import annotations
 
+import ast
+import dataclasses
+import graphlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,44 @@ def test_gate_validation():
             circ.Circuit(3, [gate])
 
 
+def test_built_circuit_gates_cannot_grow():
+    with pytest.raises(AttributeError):
+        circ.Circuit(1).gates.append(circ.Gate("foo", 0))
+
+
+def test_built_circuit_fields_cannot_be_reassigned():
+    c = circ.Circuit(2, [circ.mcx(1, 1 << 0)])
+    for name, value in (("width", 1), ("source", "x")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, value)
+
+
+def test_circuit_keeps_no_reference_to_the_callers_lists():
+    gates, roles = [circ.x(0)], ["input"]
+    c = circ.Circuit(1, gates, roles_in=roles)
+    gates.append(circ.Gate("foo", 0))
+    roles.pop()
+    assert c.gates == (circ.x(0),) and c.roles_in == ("input",)
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """The package modules each module of the package names in a ``from .`` import."""
+    graph = {}
+    for path in Path(circ.__file__).parent.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = imported
+    return graph
+
+
+def test_circuit_sits_at_the_bottom_of_the_import_graph():
+    graph = _package_imports()
+    assert graph["circuit"] == {"errors"}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on an import cycle
+
+
 def test_roles_must_cover_every_qubit():
     with pytest.raises(ValueError, match="^role annotations must cover every qubit$"):
         circ.Circuit(2, [], roles_in=("input",))
@@ -39,7 +81,7 @@ def test_roles_must_cover_every_qubit():
 def test_lower_basic_sandwich():
     c = circ.Circuit(3, [circ.mcx(2, 1 << 0, 1 << 1)])
     lowered = circ.lower_polarity(c)
-    assert lowered.gates == [circ.x(1), circ.mcx(2, 1 << 0 | 1 << 1), circ.x(1)]
+    assert lowered.gates == (circ.x(1), circ.mcx(2, 1 << 0 | 1 << 1), circ.x(1))
 
 
 def test_lower_all_positive_unchanged():
@@ -136,7 +178,7 @@ def mixed_circuits(draw):
         else:
             gate = getattr(circ, kind)(target)
         gates.insert(draw(st.integers(0, len(gates))), gate)
-    return c.replace_gates(gates)
+    return dataclasses.replace(c, gates=gates)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,7 +235,7 @@ def test_complexity_requires_lowered():
 @given(classical_circuits())
 def test_complexity_is_reorder_invariant(c):
     lowered = circ.lower_polarity(c)
-    reordered = lowered.replace_gates(list(reversed(lowered.gates)))
+    reordered = dataclasses.replace(lowered, gates=lowered.gates[::-1])
     assert circ.complexity(reordered) == circ.complexity(lowered)
 
 

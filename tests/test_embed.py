@@ -263,14 +263,15 @@ def test_finish_report_counts_completed_rows():
     partial = _partial(2, {1: 1})
     total = embed.complete_onto_hamming(partial)
     report = embed.EmbeddingReport(d=1, v=0, w=0, n_total=2, specified_rows=1)
-    assert embed.finish_report(report, partial, total) is report
-    assert (report.completed_rows, report.identical_pairings) == (3, 3)
+    finished = embed.finish_report(report, partial, total)
+    assert (finished.completed_rows, finished.identical_pairings) == (3, 3)
+    assert (report.completed_rows, report.identical_pairings) == (0, 0)
 
 
 def test_report_fields():
     spec = spec_of(2, 1, {0b00: 0, 0b01: 0, 0b10: 1, 0b11: 0})
     partial, report = embed.rtt_embed(spec)
-    embed.finish_report(report, partial, embed.complete_onto_hamming(partial))
+    report = embed.finish_report(report, partial, embed.complete_onto_hamming(partial))
     doc = dataclasses.asdict(report)
     assert list(doc) == [
         "d", "v", "w", "n_total", "specified_rows", "completed_rows",

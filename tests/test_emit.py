@@ -61,8 +61,7 @@ def test_json_roundtrip_empty():
 
 def test_json_roundtrip_with_metadata():
     cubes = from_cubes(2, 1, [("10", "1")])
-    c = esop.esop_to_circuit(cubes, method="esop")
-    c.source = "demo"
+    c = esop.esop_to_circuit(cubes, method="esop", source="demo")
     again = emit.from_json(emit.to_json(c))
     assert again == c
     assert again.source == "demo" and again.method == "esop"

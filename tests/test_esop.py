@@ -14,7 +14,7 @@ from qoracle import cli, esop, pla, sim
 from qoracle.errors import SynthesisTimeout
 
 from conftest import (apply_classical, as_cubes, cube, from_cubes, gate_controls,
-                      pla_tables, table_from_spec)
+                      pla_tables, table_from_spec, xor_words)
 
 
 def truth_table(cubes: esop.EsopCubeList) -> list[int]:
@@ -148,7 +148,7 @@ def test_esop_to_circuit_single_toffoli():
     cubes = from_cubes(2, 1, [("11", "1")])
     c = esop.esop_to_circuit(cubes)
     assert c.width == 3
-    assert c.gates == [circ.mcx(2, 1 << 0 | 1 << 1)]
+    assert c.gates == (circ.mcx(2, 1 << 0 | 1 << 1),)
 
 
 def test_esop_to_circuit_card_polarity():
@@ -162,7 +162,7 @@ def test_esop_to_circuit_card_polarity():
 def test_esop_to_circuit_empty():
     cubes = esop.EsopCubeList(3, 2, [])
     c = esop.esop_to_circuit(cubes)
-    assert c.width == 5 and c.gates == []
+    assert c.width == 5 and c.gates == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -262,15 +262,6 @@ def test_spec_to_esop_matches_the_table_route(table, partial):
     assert direct == esop.sop_to_esop(table_from_spec(spec))
     assert esop.minimize_esop(direct) == esop.minimize_esop(
         esop.sop_to_esop(table_from_spec(spec)))
-
-
-def xor_words(cubes: esop.EsopCubeList) -> np.ndarray:
-    """XOR-semantics output word of every minterm, from the cube masks."""
-    xs = np.arange(1 << cubes.n)
-    words = np.zeros(1 << cubes.n, dtype=np.int64)
-    for care, value, outs in cubes.cubes:
-        words[xs & care == value] ^= outs
-    return words
 
 
 @st.composite

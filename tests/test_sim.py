@@ -1,6 +1,7 @@
 """Simulators: classical cascades, oracle verification, statevectors."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -68,7 +69,7 @@ def test_verify_oracle_passes_and_catches_corruption():
     report = sim.verify_oracle(lowered, spec)
     assert report.passed and report.checked == 4
 
-    broken = lowered.replace_gates(lowered.gates[:-1])
+    broken = dataclasses.replace(lowered, gates=lowered.gates[:-1])
     bad = sim.verify_oracle(broken, spec)
     assert not bad.passed and len(bad.mismatches) >= 1
 
@@ -228,7 +229,7 @@ def test_statevector_matches_classical_on_basis_states(c):
 @given(classical_circuits(max_width=5))
 def test_statevector_norm_preserved(c):
     gates = [circ.h(q) for q in range(c.width)] + list(c.gates)
-    state = sim.apply_statevector(c.replace_gates(gates), sim.zero_state(c.width))
+    state = sim.apply_statevector(dataclasses.replace(c, gates=gates), sim.zero_state(c.width))
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
 
 
