@@ -30,9 +30,12 @@ class EmbeddingReport:
     identical_pairings: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReversibleSpec:
-    """A (partial) permutation on 2^width bit patterns with qubit roles."""
+    """A (partial) permutation on 2^width bit patterns with qubit roles.
+
+    Frozen, so ``width`` and ``perm`` cannot be rebound past the shape check.
+    """
 
     width: int
     perm: np.ndarray
@@ -40,13 +43,11 @@ class ReversibleSpec:
     roles_out: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        self.perm = np.asarray(self.perm, dtype=np.int64)
+        object.__setattr__(self, "perm", np.asarray(self.perm, dtype=np.int64))
         if self.perm.shape != (1 << self.width,):
             raise ValueError("permutation array must have 2^width entries")
-        if not self.roles_in:
-            self.roles_in = (ROLE_INPUT,) * self.width
-        if not self.roles_out:
-            self.roles_out = (ROLE_OUTPUT,) * self.width
+        object.__setattr__(self, "roles_in", tuple(self.roles_in) or (ROLE_INPUT,) * self.width)
+        object.__setattr__(self, "roles_out", tuple(self.roles_out) or (ROLE_OUTPUT,) * self.width)
 
     def is_bijection(self) -> bool:
         """Whether every row is specified and the rows form a permutation."""

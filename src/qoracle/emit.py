@@ -9,6 +9,7 @@ from .errors import QOracleError
 #: Netlist spelling of a control's polarity.
 POSITIVE = "+"
 NEGATIVE = "-"
+_POLARITIES = frozenset((POSITIVE, NEGATIVE))
 
 #: Each kind's netlist spellings without and with controls; the first is
 #: also its QASM name.  An H has no controlled spelling.
@@ -142,15 +143,24 @@ def _gate(entry, width: int) -> Gate:
 
 
 def _masks(controls, width: int) -> tuple[int, int]:
-    """Positive and negative control masks of a gate's [qubit, polarity] pairs."""
-    masks = {POSITIVE: 0, NEGATIVE: 0}
+    """Positive and negative control masks of a gate's [qubit, polarity] pairs.
+
+    Each pair's qubit is checked to be an integer, in range and not repeated,
+    then its polarity; a valid pair makes no call.
+    """
+    pos = neg = 0
     for q, pol in controls:
-        q = _integer(q, "control qubit")
+        if type(q) is not int:
+            _integer(q, "control qubit")
         if not 0 <= q < width:
             raise ValueError(f"control qubit {q} outside width {width}")
-        if (masks[POSITIVE] | masks[NEGATIVE]) >> q & 1:
+        bit = 1 << q
+        if (pos | neg) & bit:
             raise ValueError(f"control qubit {q} listed twice")
-        if pol not in masks:
+        if pol not in _POLARITIES:
             raise ValueError(f"bad polarity {pol!r}")
-        masks[pol] |= 1 << q
-    return masks[POSITIVE], masks[NEGATIVE]
+        if pol == POSITIVE:
+            pos |= bit
+        else:
+            neg |= bit
+    return pos, neg

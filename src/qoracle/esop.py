@@ -8,13 +8,21 @@ XOR, distance-1 pairs merge into a single cube, and distance-2 pairs can be
 rewritten into an equivalent pair that may unlock further merging.  Every
 step is deterministic and depends on the order cubes are inserted.
 
+OR-semantics cubes become an ESOP by disjoint-sharp per output column, each
+cube less every earlier one.  A column whose cubes share no minterm is
+already one and is kept as it is, which is what the loop would return; numpy
+finds whether any two cubes meet, with one ``np.unique`` for repeated
+minterms and a chunked test of each dashed cube against the rest.
+
 An output column whose cubes are all fully specified (every esop-rtt column,
 and every column of a table of minterms) first has its minterms paired in bulk
 with numpy: repeated minterms cancel by parity, then adjacent pairs merge one
 mask bit at a time, least significant first.  The insertion cascade gets the
 much shorter list that is left.  Each distance-2 sweep finds its pairs with
 one numpy argsort of every (live cube, bit pair) key, int64 while a key fits
-62 bits and Python ints (dtype=object) beyond.
+62 bits and Python ints (dtype=object) beyond.  A rewrite is committed when
+a probe of a rewritten cube's n keys finds a live owner outside the pair;
+the probe stops at the first such owner and builds no set.
 """
 from __future__ import annotations
 
@@ -29,6 +37,11 @@ Row = tuple[int, int, int]
 
 #: Most minimization passes, each a distance-2 sweep over the changed columns.
 MAX_PASSES = 10
+
+#: numpy holds masks as int64 while they fit 62 bits: care and value of a
+#: column of n <= _PAIR_MAX_N inputs, and a distance-2 key of 2n + bits(P)
+#: bits for P bit pairs.  Wider masks are Python ints (dtype=object).
+_PAIR_MAX_N = 62
 
 
 @dataclass
@@ -57,8 +70,49 @@ def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, 
     return pieces
 
 
+#: Most cube pairs one numpy overlap test compares at a time.
+_OVERLAP_CHUNK = 1 << 16
+
+
+def _overlaps(cubes: list[tuple[int, int]], full: int) -> bool:
+    """Whether two cubes of the list share a minterm.
+
+    Two fully specified cubes meet only when they are equal, which one
+    ``np.unique`` finds; each dashed cube is tested against every other cube,
+    a chunk of dashed cubes at a time, so the cost is O(k log k) for a
+    column of minterms and no k x k array is built.
+    """
+    dtype = np.int64 if full.bit_length() <= _PAIR_MAX_N else object
+    care, value = np.array(cubes, dtype=dtype).reshape(-1, 2).T
+    specified = care == full
+    minterms = value[specified]
+    if len(np.unique(minterms)) < len(minterms):
+        return True
+    dashed = np.flatnonzero(~specified)
+    step = max(1, _OVERLAP_CHUNK // len(cubes))
+    for start in range(0, len(dashed), step):
+        rows = dashed[start:start + step]
+        meet = ((value[rows, None] ^ value) & care[rows, None] & care) == 0
+        meet[np.arange(len(rows)), rows] = False
+        if meet.any():
+            return True
+    return False
+
+
 def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
-    """Make an OR cube list pairwise disjoint (then OR equals XOR)."""
+    """Make an OR cube list pairwise disjoint (then OR equals XOR).
+
+    A list whose cubes already share no minterm is returned as it is, which
+    is what ``_disjoint_sharp`` would return: every ``_subtract`` keeps its
+    cube whole and no minterm is dropped.
+    """
+    if len(cubes) < 2 or not _overlaps(cubes, full):
+        return cubes
+    return _disjoint_sharp(cubes, full)
+
+
+def _disjoint_sharp(cubes: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
+    """Each cube less every earlier cube: fully specified ones by set lookup."""
     result: list[tuple[int, int]] = []
     minterms: set[int] = set()
     dashed: list[tuple[int, int]] = []
@@ -160,24 +214,28 @@ class _ColumnSet:
         self.dirty = True
         self.shift = n.bit_length()
         self.marks = [(1 << k << n | 1 << k) << self.shift | k for k in range(n)]
+        # The distance-2 keys' masks, one per bit pair (i, j), for _distance2_pairs.
+        bit_pairs = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n)]
+        self.pair_shift = len(bit_pairs).bit_length()
+        self.pair_dtype = np.int64 if 2 * n + self.pair_shift <= _PAIR_MAX_N else object
+        self.pair_keep = np.array([~(bits << n | bits) for bits in bit_pairs], self.pair_dtype)
         for cube in cubes:
             self.insert(cube)
 
-    def _keys(self, cube: tuple[int, int]) -> list[int]:
-        packed = (cube[0] << self.n | cube[1]) << self.shift
-        return [packed | mark for mark in self.marks]
-
     def remove(self, cube_id: int) -> tuple[int, int]:
         cube = self.live.pop(cube_id)
-        for key in self._keys(cube):
-            del self.by_key[key]
+        by_key = self.by_key
+        packed = (cube[0] << self.n | cube[1]) << self.shift
+        for mark in self.marks:
+            del by_key[packed | mark]
         return cube
 
     def insert(self, cube: tuple[int, int]) -> None:
         self.dirty = True
-        by_key = self.by_key
+        by_key, marks, n, shift = self.by_key, self.marks, self.n, self.shift
         while True:
-            keys = self._keys(cube)
+            packed = (cube[0] << n | cube[1]) << shift
+            keys = [packed | mark for mark in marks]
             for k, key in enumerate(keys):
                 partner_id = by_key.get(key)
                 if partner_id is not None:
@@ -194,14 +252,18 @@ class _ColumnSet:
             cube = _merge_literal(1 << k, cube, partner)
 
     def has_partner(self, cube: tuple[int, int], exclude: tuple[int, int]) -> bool:
-        """Whether a live cube outside ``exclude`` cancels or merges with ``cube``."""
-        return not set(map(self.by_key.get, self._keys(cube))) <= {None, *exclude}
+        """Whether a live cube outside ``exclude`` cancels or merges with ``cube``.
 
-
-#: numpy holds masks as int64 while they fit 62 bits: care and value of a fully
-#: specified column of n <= _PAIR_MAX_N inputs, and a distance-2 key of
-#: 2n + bits(P) bits for P bit pairs.  Wider keys are Python ints (dtype=object).
-_PAIR_MAX_N = 62
+        The keys are probed in bit order, stopping at the first owner
+        outside ``exclude``.
+        """
+        get = self.by_key.get
+        packed = (cube[0] << self.n | cube[1]) << self.shift
+        for mark in self.marks:
+            owner = get(packed | mark)
+            if owner is not None and owner not in exclude:
+                return True
+        return False
 
 
 def _distance2_pairs(column: _ColumnSet) -> list[tuple[int, int]]:
@@ -213,20 +275,21 @@ def _distance2_pairs(column: _ColumnSet) -> list[tuple[int, int]]:
     bucket holds at most three cubes.  One argsort of all keys puts each
     bucket in one run, and pairs are read off neighbours one and two apart.
     """
-    n, live = column.n, column.live
-    bit_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    shift = len(bit_pairs).bit_length()
-    dtype = np.int64 if 2 * n + shift <= _PAIR_MAX_N else object
-    keep = np.array([~(1 << i | 1 << j) for i, j in bit_pairs], dtype=dtype)
-    care, value = np.array(list(live.values()), dtype=dtype).reshape(-1, 2).T
-    keys = ((care[:, None] & keep) << n | value[:, None] & keep) << shift | np.arange(len(keep))
+    n, live, next_id = column.n, column.live, column.next_id
+    keep = column.pair_keep
+    packed = np.array([care << n | value for care, value in live.values()], column.pair_dtype)
+    keys = (packed[:, None] & keep) << column.pair_shift | np.arange(len(keep))
     order = np.argsort(keys, axis=None)
     keys, ids = keys.ravel()[order], np.fromiter(live, np.int64, len(live))[order // len(keep)]
-    # argsort leaves the ids of one bucket in any order.
-    pairs = np.concatenate([np.stack((ids[:-gap], ids[gap:]), axis=1)[keys[gap:] == keys[:-gap]]
-                            for gap in (1, 2)])
-    pairs.sort(axis=1)
-    return sorted(set(zip(*pairs.T.tolist())))
+    # argsort leaves the ids of one bucket in any order.  Ids are below
+    # next_id, so lo * next_id + hi codes a pair in its sort order.
+    codes = []
+    for gap in (1, 2):
+        same = keys[gap:] == keys[:-gap]
+        a, b = ids[:-gap][same], ids[gap:][same]
+        codes.append(np.minimum(a, b) * next_id + np.maximum(a, b))
+    first, second = np.divmod(np.unique(np.concatenate(codes)), next_id)
+    return list(zip(first.tolist(), second.tolist()))
 
 
 def _distance2_sweep(column: _ColumnSet) -> bool:
@@ -279,11 +342,11 @@ def _pair_minterms(values: np.ndarray, n: int) -> list[tuple[int, int]]:
     for k in range(n):
         if len(value) < 2:
             break
+        # Only earlier steps cleared care bits, so every cube still cares about bit k.
         bit = 1 << k
-        cand = np.flatnonzero(care & bit)
-        rest = value[cand] & ~bit
-        perm = np.lexsort((rest, care[cand]))
-        order, rest = cand[perm], rest[perm]
+        rest = value & ~bit
+        order = np.lexsort((rest, care))
+        rest = rest[order]
         same = (care[order[1:]] == care[order[:-1]]) & (rest[1:] == rest[:-1])
         keep, drop = order[:-1][same], order[1:][same]
         care[keep] &= ~bit

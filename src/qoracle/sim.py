@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,10 @@ SIM_LIMIT = 20
 class VerificationReport:
     total_minterms: int
     checked: int
-    mismatches: list[tuple[str, str, str]] = field(default_factory=list)
+    mismatches: tuple[tuple[str, str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mismatches", tuple(self.mismatches))
 
     @property
     def passed(self) -> bool:
@@ -105,7 +108,6 @@ def verify_oracle(circuit: Circuit, spec: SpecTable) -> VerificationReport:
     n, m = spec.n, spec.m
     minterms = spec.specified()
     count = len(minterms)
-    report = VerificationReport(total_minterms=count, checked=count)
     # Position p of every plane is the p-th specified minterm.
     xs = _planes(minterms, n)
     want, dc = _planes(spec.entries[minterms], m), _planes(spec.dc[minterms], m)
@@ -120,9 +122,10 @@ def verify_oracle(circuit: Circuit, spec: SpecTable) -> VerificationReport:
     for j in kept:
         bad |= planes[ins[j]] ^ xs[j]
     if not bad:
-        return report
+        return VerificationReport(total_minterms=count, checked=count)
 
     got = _values([planes[q] for q in outs + [ins[j] for j in kept]], count)
+    mismatches = []
     for p in np.flatnonzero(_values([bad], count)).tolist():
         x_bits = format(minterms[p], f"0{n}b")
         bits = format(int(got[p]), f"0{m + len(kept)}b")
@@ -130,8 +133,8 @@ def verify_oracle(circuit: Circuit, spec: SpecTable) -> VerificationReport:
         if kept:
             expected += "|" + "".join(x_bits[j] for j in kept)
             got_bits += "|" + bits[m:]
-        report.mismatches.append((x_bits, expected, got_bits))
-    return report
+        mismatches.append((x_bits, expected, got_bits))
+    return VerificationReport(total_minterms=count, checked=count, mismatches=mismatches)
 
 
 @dataclass

@@ -259,6 +259,22 @@ def test_is_bijection_needs_every_row_once():
     assert embed.ReversibleSpec(2, [3, 2, 1, 0]).is_bijection()
 
 
+def test_reversible_spec_cannot_be_reshaped_after_it_is_built():
+    spec = embed.ReversibleSpec(2, [3, 2, 1, 0])
+    for name, value in (("width", 5), ("perm", np.arange(8)), ("roles_in", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    assert spec.width == 2 and spec.perm.tolist() == [3, 2, 1, 0]
+    assert spec.roles_in == ("input",) * 2 and spec.roles_out == ("output",) * 2
+    with pytest.raises(ValueError, match="2\\^width entries"):
+        embed.ReversibleSpec(5, spec.perm)
+    # A caller's role list is copied into a tuple.
+    roles = ["input", "ancilla"]
+    spec = embed.ReversibleSpec(2, [3, 2, 1, 0], roles)
+    roles.pop()
+    assert spec.roles_in == ("input", "ancilla")
+
+
 def test_finish_report_counts_completed_rows():
     partial = _partial(2, {1: 1})
     total = embed.complete_onto_hamming(partial)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -398,3 +399,148 @@ def test_columns_without_distance2_pairs(n, literals):
     column = esop._ColumnSet(n, [pla._masks(x) for x in literals])
     assert esop._distance2_pairs(column) == []
     assert esop._distance2_sweep(column) is False
+
+
+def pairwise_overlap(cubes: list[tuple[int, int]]) -> bool:
+    """Whether two cubes of the list share a minterm, pair by pair."""
+    return any(not (v ^ ov) & c & oc for i, (c, v) in enumerate(cubes) for oc, ov in cubes[:i])
+
+
+@st.composite
+def or_columns(draw, widths):
+    """An OR cube column whose cubes share a base and vary on a few bits.
+
+    The base is fully specified off the window two times in three, so
+    columns of minterms, repeated minterms and minterms under a dashed cube
+    are all common.  One column in three is the loop's disjoint output of
+    such a column, so columns with no overlap are common too.  The window
+    always holds the top bit, so wide columns carry masks past bit 62.
+    """
+    n = draw(widths)
+    full = (1 << n) - 1
+    window = {n - 1, *draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))}
+    fixed = full & ~sum(1 << k for k in window)
+    base_care = draw(st.sampled_from([fixed, fixed, draw(st.integers(0, full)) & fixed]))
+    base_value = draw(st.integers(0, full)) & base_care
+    literals = st.sampled_from("01-" if draw(st.booleans()) else "0011-")
+    cubes = []
+    for _ in range(draw(st.integers(0, 12))):
+        care, value = base_care, base_value
+        for k in window:
+            literal = draw(literals)
+            care |= (literal != "-") << k
+            value |= (literal == "1") << k
+        cubes.append((care, value))
+    if draw(st.integers(0, 2)) == 0:
+        cubes = esop._disjoint_sharp(cubes, full)
+    return cubes, full
+
+
+@pytest.mark.parametrize("widths", [st.integers(1, 6), st.integers(63, 70)],
+                         ids=["int64", "object"])
+@pytest.mark.parametrize("chunk", [1, 3, esop._OVERLAP_CHUNK])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_disjoint_shortcut_matches_the_loop(widths, chunk, data):
+    cubes, full = data.draw(or_columns(widths))
+    overlap = pairwise_overlap(cubes)
+    with mock.patch.object(esop, "_OVERLAP_CHUNK", chunk):
+        if len(cubes) > 1:
+            assert esop._overlaps(cubes, full) == overlap
+        result = esop._disjoint_column(list(cubes), full)
+    assert result == esop._disjoint_sharp(list(cubes), full)
+    if not overlap:
+        assert result == cubes
+
+
+@pytest.mark.parametrize("n, literals, overlap", [
+    (3, ("000", "011", "1-1", "-10"), False),
+    (3, ("011", "000", "011"), True),             # a repeated minterm
+    (3, ("1-1", "000", "101"), True),             # a minterm under an earlier dashed cube
+    (3, ("101", "000", "1-1"), True),             # a dashed cube over an earlier minterm
+    (3, ("1--", "0-1", "01-"), True),             # two dashed cubes
+    (64, ("1" + "-" * 63, "0" * 64, "01" + "-" * 62), False),
+    (64, ("1" * 64, "0" * 64, "1-" + "1" * 62), True),
+    (64, ("1" * 64, "0" * 64, "1" * 64), True),
+], ids=["disjoint", "repeat", "minterm-under-dash", "dash-over-minterm", "dashes",
+        "wide-disjoint", "wide-dash", "wide-repeat"])
+def test_disjoint_shortcut_cases(n, literals, overlap):
+    cubes, full = [pla._masks(x) for x in literals], (1 << n) - 1
+    assert esop._overlaps(cubes, full) is overlap
+    result = esop._disjoint_column(list(cubes), full)
+    assert result == esop._disjoint_sharp(list(cubes), full)
+    assert (result == cubes) is not overlap
+
+
+class ReferenceColumn:
+    """The insertion cascade with a set-based probe, the reference for ``_ColumnSet``.
+
+    Every key list is rebuilt where it is used, and ``has_partner`` gathers
+    all owners of a cube's keys into a set before it compares.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.shift = n, n.bit_length()
+        self.live: dict[int, tuple[int, int]] = {}
+        self.by_key: dict[int, int] = {}
+        self.next_id = 0
+
+    def keys(self, cube: tuple[int, int]) -> list[int]:
+        care, value = cube
+        return [((care | 1 << k) << self.n | value | 1 << k) << self.shift | k
+                for k in range(self.n)]
+
+    def remove(self, cube_id: int) -> tuple[int, int]:
+        cube = self.live.pop(cube_id)
+        for key in self.keys(cube):
+            del self.by_key[key]
+        return cube
+
+    def insert(self, cube: tuple[int, int]) -> None:
+        while True:
+            owners = [(k, self.by_key[key]) for k, key in enumerate(self.keys(cube))
+                      if key in self.by_key]
+            if not owners:
+                self.live[self.next_id] = cube
+                self.by_key.update(dict.fromkeys(self.keys(cube), self.next_id))
+                self.next_id += 1
+                return
+            k, partner_id = owners[0]
+            partner = self.remove(partner_id)
+            if partner == cube:
+                return
+            cube = esop._merge_literal(1 << k, cube, partner)
+
+    def has_partner(self, cube: tuple[int, int], exclude: tuple[int, int]) -> bool:
+        return not set(map(self.by_key.get, self.keys(cube))) <= {None, *exclude}
+
+
+@pytest.mark.parametrize("widths", [st.integers(1, 5), st.integers(33, 40)],
+                         ids=["narrow", "wide"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_column_set_matches_the_set_based_reference(widths, data):
+    n = data.draw(widths)
+    full = (1 << n) - 1
+    # Wide columns vary only a few low bits, so cubes still meet.
+    free = full if n <= 5 else 0b111
+    base = data.draw(st.integers(0, full)) & ~free
+    cubes = st.tuples(st.integers(0, free), st.integers(0, free)).map(
+        lambda cv: (base | cv[0], base | cv[0] & cv[1]))
+    column, reference = esop._ColumnSet(n, []), ReferenceColumn(n)
+    for _ in range(data.draw(st.integers(1, 30))):
+        if reference.live and data.draw(st.booleans()):
+            cube_id = data.draw(st.sampled_from(sorted(reference.live)))
+            assert column.remove(cube_id) == reference.remove(cube_id)
+        else:
+            cube = data.draw(cubes)
+            column.insert(cube)
+            reference.insert(cube)
+        assert list(column.live.items()) == list(reference.live.items())
+        assert column.by_key == reference.by_key and column.next_id == reference.next_id
+        ids = st.sampled_from(sorted(reference.live) + [-1])
+        for _ in range(4):
+            probe = data.draw(st.one_of(cubes, st.sampled_from(list(reference.live.values())))
+                              if reference.live else cubes)
+            exclude = (data.draw(ids), data.draw(ids))
+            assert column.has_partner(probe, exclude) == reference.has_partner(probe, exclude)

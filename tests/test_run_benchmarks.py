@@ -1,10 +1,12 @@
-"""The bench table printer, ``scripts/run_benchmarks.py``, run as a script."""
+"""The bench table printer and A/B timer, ``scripts/run_benchmarks.py``, run as a script."""
 from __future__ import annotations
 
 import re
+import shutil
 import subprocess
 import sys
 
+from qoracle import cli
 from qoracle.cli import main
 
 from conftest import BENCH_DIR
@@ -32,3 +34,49 @@ def test_printer_has_one_column_per_method_in_the_csv(tmp_path):
     pattern = re.compile(rf"(\w+)\s+\d+\s+\d+ \|{cell} \|{cell} \|{cell}")
     assert [m.group(1) for m in map(pattern.fullmatch, lines[:2]) if m] == ["f51m", "squar5"]
     assert lines[2:] == ["", f"read 6 rows from {csv_path}"]
+
+
+def _two_files(tmp_path):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    for name in ("squar5", "f51m"):
+        (bench / f"{name}.pla").write_text((BENCH_DIR / f"{name}.pla").read_text())
+    return bench
+
+
+def test_against_itself_reads_one_ratio_per_method(tmp_path):
+    bench = _two_files(tmp_path)
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--against", str(BENCH_DIR.parent),
+                           "--dir", str(bench), "--passes", "3"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.splitlines()
+    assert title.endswith("3 passes over 2 files, change/base time per pass")
+    assert header.split() == ["method", "median", "q1", "q3", "change_s", "base_s"]
+    assert [row.split()[0] for row in rows] == [*cli.METHODS, "all"]
+    for row in rows:
+        median, q1, q3, mine, theirs = map(float, row.split()[1:])
+        assert 0 < q1 <= median <= q3 and mine > 0 and theirs > 0
+
+
+def test_against_fails_when_the_trees_differ_in_quality(tmp_path):
+    bench = _two_files(tmp_path)
+    base = tmp_path / "base"
+    shutil.copytree(BENCH_DIR.parent / "src" / "qoracle", base / "src" / "qoracle",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # The base tree skips minimization, so its esop circuits have more gates.
+    with open(base / "src" / "qoracle" / "esop.py", "a") as fh:
+        fh.write("\n\ndef minimize_esop(cubes):\n    return cubes\n")
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--against", str(base),
+                           "--dir", str(bench), "--methods", "esop", "--passes", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(r"f51m/esop: change gives \('ok', 16, \d+, \d+, \d+\), "
+                        r"base gives \('ok', 16, \d+, \d+, \d+\)\n", proc.stderr)
+
+
+def test_against_needs_a_checkout(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--against", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "no qoracle sources under" in proc.stderr

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoracle import circuit as circ
-from qoracle import esop, pla, sim
+from qoracle import cli, esop, pla, sim
 from qoracle.errors import QOracleError, TooWide
 
-from conftest import (apply_classical, classical_circuits, control_masks, from_cubes,
+from conftest import (BENCH_DIR, apply_classical, classical_circuits, control_masks, from_cubes,
                       gate_controls, induced_permutation, spec_table, table_from_spec)
 
 
@@ -72,6 +72,22 @@ def test_verify_oracle_passes_and_catches_corruption():
     broken = dataclasses.replace(lowered, gates=lowered.gates[:-1])
     bad = sim.verify_oracle(broken, spec)
     assert not bad.passed and len(bad.mismatches) >= 1
+
+
+def test_verification_report_cannot_change_after_it_is_built():
+    table = pla.parse_pla((BENCH_DIR / "squar5.pla").read_text())
+    report = cli.run_synthesis(table, "tbs").verification
+    assert report.passed and report.mismatches == ()
+    with pytest.raises(AttributeError):
+        report.mismatches.append(("00000", "0", "1"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.mismatches = [("00000", "0", "1")]
+    assert report.passed and report.summary() == "32/32 minterms checked: PASS"
+    # A failing report keeps no reference to a list its caller can still change.
+    found = [("0", "1", "0")]
+    failed = sim.VerificationReport(total_minterms=2, checked=2, mismatches=found)
+    found.clear()
+    assert failed.mismatches == (("0", "1", "0"),) and not failed.passed
 
 
 def test_verify_oracle_empty_spec():
@@ -169,7 +185,7 @@ def test_bitplane_simulator_matches_reference_at_any_width(c, data):
         held, got = "".join(x_bits[j] for j in kept), qubits(end, [ins[j] for j in kept])
         if got != held:
             claims.append((x_bits, f"{spec.output_bits(x)}|{held}", f"{qubits(end, outs)}|{got}"))
-    assert sim.verify_oracle(claimed, spec).mismatches == claims
+    assert sim.verify_oracle(claimed, spec).mismatches == tuple(claims)
 
     # Demand the opposite of one output bit of one minterm: only it fails.
     x = data.draw(st.sampled_from(sorted(entries)))
@@ -177,9 +193,9 @@ def test_bitplane_simulator_matches_reference_at_any_width(c, data):
     dc = entries[x][1] & ~bit
     wrong = spec_table(n, m, {**entries, x: ((actual[x] ^ bit) & ~dc, dc)})
     bad = sim.verify_oracle(oracle, wrong)
-    assert bad.mismatches == [
-        (format(x, f"0{n}b"), wrong.output_bits(x), format(actual[x], f"0{m}b"))
-    ]
+    assert bad.mismatches == (
+        (format(x, f"0{n}b"), wrong.output_bits(x), format(actual[x], f"0{m}b")),
+    )
 
 
 def test_apply_classical_matches_reference_at_every_width():
