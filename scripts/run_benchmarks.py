@@ -6,12 +6,14 @@ the methods in the CSV, one column each in the order they first appear; a
 method that did not finish shows its status.
 
 With ``--against DIR`` the script compares this checkout's ``src/qoracle``
-(the change) with DIR's (the base).  Both are imported in this process under
-their own package names, and every pass runs each (file, method) item on
-both trees: parse, ``run_synthesis``, QASM and JSON emission.  Which tree
-runs an item first alternates from item to item and from pass to pass, so
-neither tree is always second.  For each method it prints the median
-change/base ratio of the per-pass times with its quartiles.  The trees must
+(the change) with DIR's (the base) on the bundled ``benchmarks/*.pla`` and
+every method both trees have.  Both are imported in this process under
+their own package names, and each of PASSES timed passes, after one warm-up
+pass, runs each (file, method) item on both trees: parse,
+``run_synthesis``, QASM and JSON emission.  Which tree runs an item first
+alternates from item to item and from pass to pass, so neither tree is
+always second.  For each method it prints the median change/base ratio of
+the per-pass times with its quartiles.  The trees must
 agree on every item's status, qubits, gates, complexity and QASM bytes;
 a difference fails the run with exit status 1.  Comparing a tree with
 itself (an A/A run) shows how small a resolved change can be.
@@ -19,7 +21,7 @@ itself (an A/A run) shows how small a resolved change can be.
 Usage:
     qoracle bench --dir benchmarks --csv results.csv
     python scripts/run_benchmarks.py results.csv
-    python scripts/run_benchmarks.py --against ../base --passes 11
+    python scripts/run_benchmarks.py --against ../base
 """
 from __future__ import annotations
 
@@ -34,6 +36,9 @@ from pathlib import Path
 from types import ModuleType
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Timed passes of an ``--against`` run; quartiles need a few per method.
+PASSES = 11
 
 
 def print_table(path: str) -> int:
@@ -67,7 +72,9 @@ def print_table(path: str) -> int:
 
 
 def load_tree(checkout: Path, name: str) -> ModuleType:
-    """Import ``checkout/src/qoracle`` as the package ``name``."""
+    """Import ``checkout/src/qoracle`` as the package ``name``, afresh."""
+    for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[loaded]
     package = checkout / "src" / "qoracle"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
@@ -91,13 +98,20 @@ def run_item(q: ModuleType, text: str, method: str, name: str) -> tuple[float, t
     return seconds, ("ok", report.qubits, report.gate_count, report.complexity, len(qasm))
 
 
-def compare(against: Path, bench_dir: Path, methods: list[str] | None, passes: int) -> int:
+def compare(against: Path, bench_dir: Path = ROOT / "benchmarks",
+            methods: list[str] | None = None, passes: int = PASSES) -> int:
+    """Time this checkout against ``against``; ``methods`` defaults to those both trees have."""
     change, base = load_tree(ROOT, "qoracle_change"), load_tree(against, "qoracle_base")
     files = sorted(bench_dir.glob("*.pla"))
     if not files:
         print(f"no .pla files under {bench_dir}", file=sys.stderr)
         return 2
-    methods = methods or list(change.cli.METHODS)
+    if methods is None:
+        methods = [m for m in change.cli.METHODS if m in base.cli.METHODS]
+    missing = [m for m in methods if m not in change.cli.METHODS or m not in base.cli.METHODS]
+    if missing:
+        print(f"method {', '.join(missing)} is not in both trees", file=sys.stderr)
+        return 2
     items = [(f.stem, f.read_text(), method) for method in methods for f in files]
     # times[tree][method] holds one total per timed pass; pass 0 warms up.
     times: dict[str, dict[str, list[float]]] = {"change": {}, "base": {}}
@@ -139,12 +153,6 @@ def main() -> int:
     parser.add_argument("csv", nargs="?", help="rows written by qoracle bench --csv")
     parser.add_argument("--against", type=Path, metavar="DIR",
                         help="time this checkout against the checkout at DIR instead")
-    parser.add_argument("--dir", type=Path, default=ROOT / "benchmarks",
-                        help="the .pla files of an --against run (default: the bundled set)")
-    parser.add_argument("--methods", help="comma-separated methods of an --against run "
-                        "(default: all of this checkout's)")
-    parser.add_argument("--passes", type=int, default=11,
-                        help="timed passes of an --against run, at least 2 (default: 11)")
     args = parser.parse_args()
     if args.against is None:
         if args.csv is None:
@@ -152,12 +160,9 @@ def main() -> int:
         return print_table(args.csv)
     if args.csv is not None:
         parser.error("--against takes no CSV")
-    if args.passes < 2:
-        parser.error("--passes must be at least 2")
     if not (args.against / "src" / "qoracle" / "__init__.py").is_file():
         parser.error(f"no qoracle sources under {args.against / 'src'}")
-    methods = args.methods.split(",") if args.methods else None
-    return compare(args.against.resolve(), args.dir, methods, args.passes)
+    return compare(args.against.resolve())
 
 
 if __name__ == "__main__":

@@ -146,12 +146,12 @@ def _masks(controls, width: int) -> tuple[int, int]:
     """Positive and negative control masks of a gate's [qubit, polarity] pairs.
 
     Each pair's qubit is checked to be an integer, in range and not repeated,
-    then its polarity; a valid pair makes no call.
+    then its polarity, inline: this runs once per control of every gate.
     """
     pos = neg = 0
     for q, pol in controls:
         if type(q) is not int:
-            _integer(q, "control qubit")
+            raise ValueError(f"control qubit must be an integer, got {q!r}")
         if not 0 <= q < width:
             raise ValueError(f"control qubit {q} outside width {width}")
         bit = 1 << q

@@ -10,9 +10,9 @@ step is deterministic and depends on the order cubes are inserted.
 
 OR-semantics cubes become an ESOP by disjoint-sharp per output column, each
 cube less every earlier one.  A column whose cubes share no minterm is
-already one and is kept as it is, which is what the loop would return; numpy
-finds whether any two cubes meet, with one ``np.unique`` for repeated
-minterms and a chunked test of each dashed cube against the rest.
+already one and is kept as it is, which is what the loop would return.  A
+set of the minterms finds a repeated minterm, and a chunked numpy test of
+each dashed cube against the rest finds any other pair that meets.
 
 An output column whose cubes are all fully specified (every esop-rtt column,
 and every column of a table of minterms) first has its minterms paired in bulk
@@ -77,18 +77,19 @@ _OVERLAP_CHUNK = 1 << 16
 def _overlaps(cubes: list[tuple[int, int]], full: int) -> bool:
     """Whether two cubes of the list share a minterm.
 
-    Two fully specified cubes meet only when they are equal, which one
-    ``np.unique`` finds; each dashed cube is tested against every other cube,
-    a chunk of dashed cubes at a time, so the cost is O(k log k) for a
-    column of minterms and no k x k array is built.
+    Two fully specified cubes meet only when they are equal, which one set
+    of the minterms finds, so a column of minterms costs O(k) and builds no
+    array.  Each dashed cube is tested against every other cube with numpy,
+    a chunk of dashed cubes at a time, so no k x k array is built.
     """
+    minterms = [value for care, value in cubes if care == full]
+    if len(set(minterms)) < len(minterms):
+        return True
+    if len(minterms) == len(cubes):
+        return False
     dtype = np.int64 if full.bit_length() <= _PAIR_MAX_N else object
     care, value = np.array(cubes, dtype=dtype).reshape(-1, 2).T
-    specified = care == full
-    minterms = value[specified]
-    if len(np.unique(minterms)) < len(minterms):
-        return True
-    dashed = np.flatnonzero(~specified)
+    dashed = np.flatnonzero(care != full)
     step = max(1, _OVERLAP_CHUNK // len(cubes))
     for start in range(0, len(dashed), step):
         rows = dashed[start:start + step]

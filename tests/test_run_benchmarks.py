@@ -1,6 +1,7 @@
-"""The bench table printer and A/B timer, ``scripts/run_benchmarks.py``, run as a script."""
+"""The bench table printer and A/B timer, ``scripts/run_benchmarks.py``."""
 from __future__ import annotations
 
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -36,6 +37,13 @@ def test_printer_has_one_column_per_method_in_the_csv(tmp_path):
     assert lines[2:] == ["", f"read 6 rows from {csv_path}"]
 
 
+def _load_script():
+    spec = importlib.util.spec_from_file_location("run_benchmarks", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _two_files(tmp_path):
     bench = tmp_path / "bench"
     bench.mkdir()
@@ -44,13 +52,21 @@ def _two_files(tmp_path):
     return bench
 
 
-def test_against_itself_reads_one_ratio_per_method(tmp_path):
+def _base_copy(tmp_path, file: str, patch: str):
+    """A copy of this checkout's sources with ``patch`` appended to one module."""
+    base = tmp_path / "base"
+    shutil.copytree(BENCH_DIR.parent / "src" / "qoracle", base / "src" / "qoracle",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(base / "src" / "qoracle" / file, "a") as fh:
+        fh.write(patch)
+    return base
+
+
+def test_against_itself_reads_one_ratio_per_method(tmp_path, capsys):
     bench = _two_files(tmp_path)
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--against", str(BENCH_DIR.parent),
-                           "--dir", str(bench), "--passes", "3"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    title, header, *rows = proc.stdout.splitlines()
+    assert _load_script().compare(BENCH_DIR.parent, bench, None, 3) == 0
+    out = capsys.readouterr().out
+    title, header, *rows = out.splitlines()
     assert title.endswith("3 passes over 2 files, change/base time per pass")
     assert header.split() == ["method", "median", "q1", "q3", "change_s", "base_s"]
     assert [row.split()[0] for row in rows] == [*cli.METHODS, "all"]
@@ -59,21 +75,31 @@ def test_against_itself_reads_one_ratio_per_method(tmp_path):
         assert 0 < q1 <= median <= q3 and mine > 0 and theirs > 0
 
 
-def test_against_fails_when_the_trees_differ_in_quality(tmp_path):
+def test_against_fails_when_the_trees_differ_in_quality(tmp_path, capsys):
     bench = _two_files(tmp_path)
-    base = tmp_path / "base"
-    shutil.copytree(BENCH_DIR.parent / "src" / "qoracle", base / "src" / "qoracle",
-                    ignore=shutil.ignore_patterns("__pycache__"))
     # The base tree skips minimization, so its esop circuits have more gates.
-    with open(base / "src" / "qoracle" / "esop.py", "a") as fh:
-        fh.write("\n\ndef minimize_esop(cubes):\n    return cubes\n")
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--against", str(base),
-                           "--dir", str(bench), "--methods", "esop", "--passes", "2"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
+    base = _base_copy(tmp_path, "esop.py", "\n\ndef minimize_esop(cubes):\n    return cubes\n")
+    assert _load_script().compare(base, bench, ["esop"], 2) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert re.fullmatch(r"f51m/esop: change gives \('ok', 16, \d+, \d+, \d+\), "
-                        r"base gives \('ok', 16, \d+, \d+, \d+\)\n", proc.stderr)
+                        r"base gives \('ok', 16, \d+, \d+, \d+\)\n", err)
+
+
+def test_against_times_only_methods_both_trees_have(tmp_path, capsys):
+    bench = _two_files(tmp_path)
+    # A base from before bidirectional TBS existed.
+    base = _base_copy(tmp_path, "cli.py", "\nMETHODS = METHODS[:3]\n")
+    script = _load_script()
+    assert script.compare(base, bench, ["esop", "tbs-bidirectional"], 2) == 2
+    assert script.compare(base, bench, ["nope"], 2) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["method tbs-bidirectional is not in both trees",
+                                "method nope is not in both trees"]
+    assert script.compare(base, bench, None, 2) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == [*cli.METHODS[:3], "all"]
 
 
 def test_against_needs_a_checkout(tmp_path):
