@@ -32,3 +32,6 @@ class VerificationFailed(QOracleError):
         super().__init__(report.summary())
         self.report = report
 
+    def __reduce__(self):
+        # Rebuilt from the report, so it crosses a process pool's pickle.
+        return type(self), (self.report,)

@@ -9,10 +9,10 @@ rewritten into an equivalent pair that may unlock further merging.  Every
 step is deterministic and depends on the order cubes are inserted.
 
 OR-semantics cubes become an ESOP by disjoint-sharp per output column, each
-cube less every earlier one.  A column whose cubes share no minterm is
-already one and is kept as it is, which is what the loop would return.  A
-set of the minterms finds a repeated minterm, and a chunked numpy test of
-each dashed cube against the rest finds any other pair that meets.
+cube less every earlier one.  Only the earlier cubes a cube meets can take
+a minterm from it, so it is cut by those alone: a dict finds a repeated
+minterm, and a chunked numpy test of each dashed cube against the rest
+finds any other pair that meets.  A cube that meets none is kept whole.
 
 An output column whose cubes are all fully specified (every esop-rtt column,
 and every column of a table of minterms) first has its minterms paired in bulk
@@ -74,71 +74,65 @@ def _subtract(cube: tuple[int, int], other: tuple[int, int]) -> list[tuple[int, 
 _OVERLAP_CHUNK = 1 << 16
 
 
-def _overlaps(cubes: list[tuple[int, int]], full: int) -> bool:
-    """Whether two cubes of the list share a minterm.
+def _earlier_meets(cubes: list[tuple[int, int]], full: int) -> dict[int, list[int]]:
+    """The indices of the earlier cubes each cube shares a minterm with.
 
-    Two fully specified cubes meet only when they are equal, which one set
-    of the minterms finds, so a column of minterms costs O(k) and builds no
-    array.  Each dashed cube is tested against every other cube with numpy,
-    a chunk of dashed cubes at a time, so no k x k array is built.
+    Only cubes that meet an earlier one are keys.  Two fully specified cubes
+    meet only when they are equal, so a repeated minterm lists its first
+    appearance, found by a dict.  Each dashed cube is tested against every
+    cube with numpy, a chunk of dashed cubes at a time, so no k x k array is
+    built; a dashed cube's list is in order.
     """
-    minterms = [value for care, value in cubes if care == full]
-    if len(set(minterms)) < len(minterms):
-        return True
-    if len(minterms) == len(cubes):
-        return False
+    meets: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    dashed = []
+    for i, (care, value) in enumerate(cubes):
+        if care != full:
+            dashed.append(i)
+        elif first.setdefault(value, i) != i:
+            meets[i] = [first[value]]
+    if not dashed or len(cubes) < 2:
+        return meets
     dtype = np.int64 if full.bit_length() <= _PAIR_MAX_N else object
     care, value = np.array(cubes, dtype=dtype).reshape(-1, 2).T
-    dashed = np.flatnonzero(care != full)
+    dashed = np.array(dashed)
     step = max(1, _OVERLAP_CHUNK // len(cubes))
     for start in range(0, len(dashed), step):
         rows = dashed[start:start + step]
         meet = ((value[rows, None] ^ value) & care[rows, None] & care) == 0
         meet[np.arange(len(rows)), rows] = False
-        if meet.any():
-            return True
-    return False
+        if not meet.any():
+            continue
+        at, ks = np.nonzero(meet)
+        for d, k in zip(rows[at].tolist(), ks.tolist()):
+            if k < d:
+                meets.setdefault(d, []).append(k)
+            elif cubes[k][0] == full:
+                # A dashed cube k lists d from its own row.
+                meets.setdefault(k, []).append(d)
+    return meets
 
 
 def _disjoint_column(cubes: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
-    """Make an OR cube list pairwise disjoint (then OR equals XOR).
+    """Make an OR cube list pairwise disjoint (then OR equals XOR) by disjoint-sharp.
 
-    A list whose cubes already share no minterm is returned as it is, which
-    is what ``_disjoint_sharp`` would return: every ``_subtract`` keeps its
-    cube whole and no minterm is dropped.
+    Each cube, in order, loses the pieces of the earlier cubes it meets.  The
+    pieces of a cube it does not meet lie outside it, and ``_subtract``
+    would keep every piece whole against them.
     """
-    if len(cubes) < 2 or not _overlaps(cubes, full):
-        return cubes
-    return _disjoint_sharp(cubes, full)
-
-
-def _disjoint_sharp(cubes: list[tuple[int, int]], full: int) -> list[tuple[int, int]]:
-    """Each cube less every earlier cube: fully specified ones by set lookup."""
+    pieces: dict[int, list[tuple[int, int]]] = {}
     result: list[tuple[int, int]] = []
-    minterms: set[int] = set()
-    dashed: list[tuple[int, int]] = []
-    for cube in cubes:
-        care, value = cube
-        if care == full:
-            # Fully specified rows only collide with identical rows or a
-            # dashed cube that covers them.
-            if value in minterms or any(value & dc == dv for dc, dv in dashed):
-                continue
-            minterms.add(value)
-            result.append(cube)
-            continue
-        pieces = [cube]
-        for ex in result:
-            pieces = [p for piece in pieces for p in _subtract(piece, ex)]
-            if not pieces:
+    whole = 0  # cubes[whole:i] meet no earlier cube, so they stay whole
+    for i, earlier in sorted(_earlier_meets(cubes, full).items()):
+        own = [cubes[i]]
+        for ex in [ex for j in earlier for ex in pieces.get(j, cubes[j:j + 1])]:
+            own = [p for piece in own for p in _subtract(piece, ex)]
+            if not own:
                 break
-        for piece in pieces:
-            result.append(piece)
-            if piece[0] == full:
-                minterms.add(piece[1])
-            else:
-                dashed.append(piece)
-    return result
+        pieces[i] = own
+        result += cubes[whole:i] + own
+        whole = i + 1
+    return result + cubes[whole:]
 
 
 def sop_to_esop(table: PlaTable) -> EsopCubeList:

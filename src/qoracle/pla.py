@@ -138,8 +138,10 @@ def parse_pla(text: str) -> PlaTable:
             if key not in _DIRECTIVES:
                 raise QOracleError(f"unsupported directive {key}")
             if key in (".i", ".o", ".p"):
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not fields[1].isdecimal():
                     raise QOracleError(f"malformed {key} directive: {line!r}")
+                if (key == ".i" and n is not None) or (key == ".o" and m is not None):
+                    raise QOracleError(f"repeated {key} directive: {line!r}")
                 count = int(fields[1])
                 if key == ".i":
                     n = count

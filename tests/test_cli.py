@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import random
 import re
 import signal
@@ -392,6 +393,35 @@ def test_synth_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
         "verification failed: 32/32 minterms checked: FAIL (1 mismatches)"]
     assert captured.out == ""
     assert not (tmp_path / "c.qasm").exists()
+
+
+def test_verification_failed_survives_a_pickle_round_trip():
+    report = sim.VerificationReport(32, 32, [("00000", "000000", "000001")])
+    copy = pickle.loads(pickle.dumps(VerificationFailed(report)))
+    assert copy.report == report
+    assert str(copy) == report.summary()
+
+
+def test_bench_parallel_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # Forked workers inherit the patch, and the failure crosses the pool's pickle.
+    _failing_verification(monkeypatch)
+    small = tmp_path / "bench"
+    small.mkdir()
+    (small / "squar5.pla").write_text(Path(SQUAR5).read_text())
+    assert main([
+        "bench", "--dir", str(small), "--methods", "esop,esop-rtt",
+        "--csv", str(tmp_path / "rows.csv"), "--jobs", "2",
+    ]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failed: 32/32 minterms checked: FAIL (1 mismatches)"]
+
+
+def test_synth_repeated_directive_exits_2(tmp_path, capsys):
+    table, out = tmp_path / "t.pla", tmp_path / "c.qasm"
+    table.write_text(".i 2\n.o 1\n01 1\n.i 3\n.e\n")
+    assert main(["synth", "--in", str(table), "--method", "esop", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: repeated .i directive: '.i 3'"]
+    assert not out.exists()
 
 
 def test_synth_too_large_exits_4(tmp_path):

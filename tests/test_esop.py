@@ -406,6 +406,17 @@ def pairwise_overlap(cubes: list[tuple[int, int]]) -> bool:
     return any(not (v ^ ov) & c & oc for i, (c, v) in enumerate(cubes) for oc, ov in cubes[:i])
 
 
+def reference_disjoint(cubes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The plain disjoint-sharp loop: each cube less every earlier result piece."""
+    result: list[tuple[int, int]] = []
+    for cube in cubes:
+        pieces = [cube]
+        for ex in result:
+            pieces = [p for piece in pieces for p in esop._subtract(piece, ex)]
+        result += pieces
+    return result
+
+
 @st.composite
 def or_columns(draw, widths):
     """An OR cube column whose cubes share a base and vary on a few bits.
@@ -432,7 +443,7 @@ def or_columns(draw, widths):
             value |= (literal == "1") << k
         cubes.append((care, value))
     if draw(st.integers(0, 2)) == 0:
-        cubes = esop._disjoint_sharp(cubes, full)
+        cubes = reference_disjoint(cubes)
     return cubes, full
 
 
@@ -445,12 +456,9 @@ def test_disjoint_shortcut_matches_the_loop(widths, chunk, data):
     cubes, full = data.draw(or_columns(widths))
     overlap = pairwise_overlap(cubes)
     with mock.patch.object(esop, "_OVERLAP_CHUNK", chunk):
-        if len(cubes) > 1:
-            assert esop._overlaps(cubes, full) == overlap
         result = esop._disjoint_column(list(cubes), full)
-    assert result == esop._disjoint_sharp(list(cubes), full)
-    if not overlap:
-        assert result == cubes
+    assert result == reference_disjoint(cubes)
+    assert (result == cubes) is not overlap
 
 
 @pytest.mark.parametrize("n, literals, overlap", [
@@ -459,16 +467,17 @@ def test_disjoint_shortcut_matches_the_loop(widths, chunk, data):
     (3, ("1-1", "000", "101"), True),             # a minterm under an earlier dashed cube
     (3, ("101", "000", "1-1"), True),             # a dashed cube over an earlier minterm
     (3, ("1--", "0-1", "01-"), True),             # two dashed cubes
+    (3, ("1-1", "101", "101"), True),             # a repeat whose first lies under a dash
+    (3, ("000", "11-", "011", "0--"), True),      # a dash over cubes 0 and 2, not 1
     (64, ("1" + "-" * 63, "0" * 64, "01" + "-" * 62), False),
     (64, ("1" * 64, "0" * 64, "1-" + "1" * 62), True),
     (64, ("1" * 64, "0" * 64, "1" * 64), True),
 ], ids=["disjoint", "repeat", "minterm-under-dash", "dash-over-minterm", "dashes",
-        "wide-disjoint", "wide-dash", "wide-repeat"])
+        "repeat-under-dash", "dash-over-two", "wide-disjoint", "wide-dash", "wide-repeat"])
 def test_disjoint_shortcut_cases(n, literals, overlap):
     cubes, full = [pla._masks(x) for x in literals], (1 << n) - 1
-    assert esop._overlaps(cubes, full) is overlap
     result = esop._disjoint_column(list(cubes), full)
-    assert result == esop._disjoint_sharp(list(cubes), full)
+    assert result == reference_disjoint(cubes)
     assert (result == cubes) is not overlap
 
 

@@ -85,6 +85,12 @@ def test_parse_malformed_directives():
         pla.parse_pla(".i\n.o 1\n.e")
     with pytest.raises(QOracleError, match="malformed .i directive: '.i two'"):
         pla.parse_pla(".i two\n.o 1\n.e")
+    with pytest.raises(QOracleError, match="malformed .i directive: '.i ²'"):
+        pla.parse_pla(".i ²\n.o 1\n.e")
+    with pytest.raises(QOracleError, match="repeated .i directive: '.i 3'"):
+        pla.parse_pla(".i 2\n.o 1\n01 1\n.i 3\n.e")
+    with pytest.raises(QOracleError, match="repeated .o directive: '.o 3'"):
+        pla.parse_pla(".i 2\n.o 2\n01 11\n.o 3\n.e")
     with pytest.raises(QOracleError, match="unsupported table type in '.type fr'"):
         pla.parse_pla(".i 1\n.o 1\n.type fr\n1 1\n.e")
 
