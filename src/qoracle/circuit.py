@@ -21,14 +21,22 @@ _KINDS = frozenset({KIND_X, KIND_H, KIND_Z})
 _CONTROLLABLE = frozenset({KIND_X, KIND_Z})
 
 
-def _qubits(mask: int):
+#: The set bits of every byte, in ascending order.
+_BYTE_QUBITS = tuple(tuple(q for q in range(8) if byte >> q & 1) for byte in range(256))
+
+
+def _qubits(mask: int) -> tuple[int, ...]:
     """The qubits whose bits are set in ``mask``, in ascending order."""
     if mask < 0:
         raise ValueError(f"negative control mask {mask}")
+    qubits, base = _BYTE_QUBITS[mask & 255], 8
+    mask >>= 8
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        if mask & 255:
+            qubits += tuple(map(base.__add__, _BYTE_QUBITS[mask & 255]))
+        mask >>= 8
+        base += 8
+    return qubits
 
 
 def _from_msb_first(mask: int, width: int) -> int:
@@ -66,7 +74,8 @@ def z(target: int) -> Gate:
 
 
 def mcx(target: int, pos: int = 0, neg: int = 0) -> Gate:
-    return Gate(KIND_X, target, pos, neg)
+    # ``tuple.__new__`` skips the frame of the generated ``Gate.__new__``.
+    return tuple.__new__(Gate, (KIND_X, target, pos, neg))
 
 
 def mcz(target: int, pos: int = 0, neg: int = 0) -> Gate:

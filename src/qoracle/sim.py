@@ -62,22 +62,25 @@ def _run_planes(circuit: Circuit, planes: list[int], full: int) -> None:
     Each plane holds one bit per pattern and ``full`` sets all of them; a
     gate ANDs its control planes (complemented for negative controls) and
     XORs the result into its target plane.  Lowered circuits have positive
-    controls only, and their masks repeat, so each mask is walked once.
+    controls only, and their masks repeat, so each mask is split once.  A
+    gate with the previous gate's masks fires where that gate did: no gate
+    targets one of its own controls, so their planes have not changed.
     """
-    qubits: dict[int, list[int]] = {}
+    qubits: dict[int, tuple[int, ...]] = {}
+    last_pos = last_neg = -1
     for kind, target, pos, neg in circuit.gates:
         if kind != KIND_X:
             raise QOracleError(f"{kind} gate has no classical action")
-        fire = full
-        if pos:
+        if pos != last_pos or neg != last_neg:
+            last_pos, last_neg, fire = pos, neg, full
             qs = qubits.get(pos)
             if qs is None:
-                qs = qubits[pos] = list(_qubits(pos))
+                qs = qubits[pos] = _qubits(pos)
             for q in qs:
                 fire &= planes[q]
-        if neg:
-            for q in _qubits(neg):
-                fire &= ~planes[q]
+            if neg:
+                for q in _qubits(neg):
+                    fire &= ~planes[q]
         planes[target] ^= fire
 
 

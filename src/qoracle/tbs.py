@@ -7,14 +7,16 @@ table is bit-planes, one Python int per qubit with one bit per position, and
 the residual map sends ``sources[p]`` to ``values[p]``: a gate XORs the AND of
 its control planes into its target plane in ``values`` (output side) or
 ``sources`` (input side).  No gate moves a position, and no later gate fires
-at a fixed row's position.
+at a fixed row's position.  A row's gates all fire where the planes of the
+bits its value and the row share are set, so ``_fix`` ANDs those once, and
+walks each mask through ``_split``'s tables of half-mask qubits.
 
 A unidirectional run never touches ``sources``, so row r sits at position r
-and is read there without a search.  The rows below it are fixed; once
-``_SHIFT_AT`` of them have gathered, every plane is shifted right past them,
-so later gates no longer walk over them.  A bidirectional run keeps every
-position and searches the planes for each row and for its preimage.  The
-planes come from ``sim._planes``, which verification uses too.
+and is read there inline, one plane bit at a time.  The rows below it are
+fixed; once ``_SHIFT_AT`` of them have gathered, every plane is shifted right
+past them, so later gates no longer walk over them.  A bidirectional run
+keeps every position and searches the planes for each row and for its
+preimage.  The planes come from ``sim._planes``, which verification uses too.
 """
 from __future__ import annotations
 
@@ -43,13 +45,14 @@ def _cost(value: int, row: int) -> tuple[int, int]:
     return add + drop, add * value.bit_count() + add * (add - 1) // 2 + drop * row.bit_count()
 
 
-def _controls(planes: list[int], mask: int, full: int) -> int:
-    """The positions where every plane in ``mask`` is set."""
-    while mask:
-        low = mask & -mask
-        full &= planes[low.bit_length() - 1]
-        mask ^= low
-    return full
+def _split(width: int) -> tuple[int, int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``half``, ``lows`` and tables ``low`` and ``high`` of half-mask qubits: the qubits
+    of a ``width``-qubit ``mask`` are ``low[mask & lows]`` then ``high[mask >> half]``."""
+    half = width >> 1
+    low = [tuple(q for q in range(half) if m >> q & 1) for m in range(1 << half)]
+    high = [tuple(q for q in range(half, width) if m >> q - half & 1)
+            for m in range(1 << width - half)]
+    return half, (1 << half) - 1, low, high
 
 
 def _find(planes: list[int], value: int, full: int) -> int:
@@ -90,30 +93,34 @@ def _read(planes: list[int], at: int, full: int) -> int:
     return value
 
 
-def _fix(planes: list[int], value: int, row: int, full: int, gates: list) -> None:
+def _fix(planes: list[int], value: int, row: int, full: int, gates: list, split: tuple) -> None:
     """Turn ``value`` into ``row``, in ascending qubit order: set missing bits under the
     growing value, then clear extra bits under the row; append (target, controls) to ``gates``.
+
+    Both phases fire where the planes of ``value & row`` are set, and neither
+    writes them, so they are ANDed once into ``shared``.  Each set bit's fresh
+    plane joins ``shared``, which then is where the row's planes are all set.
     """
+    half, lows, low, high = split
+    both, extra = value & row, value & ~row
+    shared = full
+    for q in low[both & lows] + high[both >> half]:
+        shared &= planes[q]
+    drop = low[extra & lows] + high[extra >> half]
     add = row & ~value
     if add:
-        fire = _controls(planes, value, full)
-    while add:
-        low = add & -add
-        q = low.bit_length() - 1
-        planes[q] ^= fire
-        gates.append((q, value))
-        fire &= planes[q]
-        value |= low
-        add ^= low
-    drop = value & ~row
-    if drop:
-        fire = _controls(planes, row, full)
-    while drop:
-        low = drop & -drop
-        q = low.bit_length() - 1
-        planes[q] ^= fire
+        fire = shared
+        for q in drop:
+            fire &= planes[q]
+        for q in low[add & lows] + high[add >> half]:
+            planes[q] ^= fire
+            gates.append((q, value))
+            fire &= planes[q]
+            shared &= planes[q]
+            value |= 1 << q
+    for q in drop:
+        planes[q] ^= shared
         gates.append((q, row))
-        drop ^= low
 
 
 def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
@@ -130,6 +137,7 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
     # Positions are relative to ``base``, which only a unidirectional run moves;
     # ``want`` is ``row`` as a qubit mask.
     full, row, base, want = (1 << size) - 1, 0, 0, 0
+    split = _split(width)
     out_gates, in_gates = [], []
     while True:
         if unidirectional and row - base >= _SHIFT_AT:
@@ -138,8 +146,14 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
             values = [plane >> shift for plane in values]
             sources = [plane >> shift for plane in sources]
             full >>= shift
-        at = row - base if unidirectional else _find(sources, want, full)
-        value = _read(values, at, full)
+        if unidirectional:
+            # Position ``row - base`` is below ``_SHIFT_AT``, so each test is one word.
+            bit, value = 1 << row - base, 0
+            for q, plane in enumerate(values):
+                if plane & bit:
+                    value |= 1 << q
+        else:
+            value = _read(values, _find(sources, want, full), full)
         if value == want:
             # Skip to the lowest row still moved.
             moved = 0
@@ -157,7 +171,7 @@ def tbs_synthesize(spec: ReversibleSpec, *, direction: str = UNIDIRECTIONAL,
                 value, planes, gates = preimage, sources, in_gates
         if len(out_gates) + len(in_gates) + (value ^ want).bit_count() > GATE_LIMIT:
             raise GateLimitExceeded(f"over {GATE_LIMIT} gates at row {row} of {size}")
-        _fix(planes, value, want, full, gates)
+        _fix(planes, value, want, full, gates, split)
         # Add one to ``want`` at qubit width - 1 (the row's low bit), carrying towards qubit 0.
         row, bit = row + 1, size >> 1
         while want & bit:

@@ -78,6 +78,26 @@ def test_roles_must_cover_every_qubit():
         circ.Circuit(2, [], roles_in=("input",))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, (1 << 100) - 1),
+                 st.sampled_from([0, 1, 255, 256, 1 << 8 | 1, (1 << 64) - 1, 1 << 99,
+                                  (1 << 100) - 1])))
+def test_qubits_table_matches_bit_walk(mask):
+    walked = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        walked.append(low.bit_length() - 1)
+        rest ^= low
+    assert circ._qubits(mask) == tuple(walked)
+
+
+@pytest.mark.parametrize("mask", [-1, -256, -(1 << 100)])
+def test_qubits_refuses_a_negative_mask(mask):
+    with pytest.raises(ValueError, match="negative control mask"):
+        circ._qubits(mask)
+
+
 def test_lower_basic_sandwich():
     c = circ.Circuit(3, [circ.mcx(2, 1 << 0, 1 << 1)])
     lowered = circ.lower_polarity(c)

@@ -271,3 +271,52 @@ def test_sample_is_seed_deterministic():
     b = sim.sample(state, 1024, seed=7)
     assert a == b
     assert sum(a.values()) == 1024
+
+
+@st.composite
+def repeated_mask_runs(draw):
+    """Runs of gates with one (pos, neg) pair and distinct targets outside it;
+    each run after the first puts the previous gate's target in its masks."""
+    width = draw(st.integers(2, 9))
+    gates, previous = [], None
+    for _ in range(draw(st.integers(1, 6))):
+        controls = sorted(draw(st.sets(st.integers(0, width - 1), max_size=width - 1)))
+        if previous is not None and previous not in controls:
+            controls = [previous] + controls[:width - 2]
+        neg = sum(1 << q for q in controls if draw(st.booleans()))
+        pos = sum(1 << q for q in controls) & ~neg
+        outside = [q for q in range(width) if q not in controls]
+        targets = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=len(outside),
+                                unique=True))
+        gates += [circ.mcx(t, pos, neg) for t in targets]
+        previous = targets[-1]
+    return circ.Circuit(width, gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_mask_runs(), st.randoms(use_true_random=False))
+def test_run_planes_fire_reuse_matches_per_gate_reference(c, rng):
+    w = c.width
+    full = (1 << 64) - 1
+    planes = [rng.getrandbits(64) for _ in range(w)]
+    expected = list(planes)
+    for gate in c.gates:
+        fire = full
+        for q in range(w):
+            if gate.pos >> q & 1:
+                fire &= expected[q]
+            if gate.neg >> q & 1:
+                fire &= ~expected[q]
+        expected[gate.target] ^= fire
+    sim._run_planes(c, planes, full)
+    assert planes == expected
+
+    # Verification reads the same planes: it passes on the per-gate table and
+    # reports exactly one flipped output bit.
+    table = {x: reference_apply(c, x) for x in range(1 << w)}
+    report = sim.verify_oracle(c, spec_table(w, w, {x: (y, 0) for x, y in table.items()}))
+    assert report.passed and report.checked == 1 << w
+    x = rng.randrange(1 << w)
+    wrong = spec_table(w, w, {**{k: (y, 0) for k, y in table.items()}, x: (table[x] ^ 1, 0)})
+    assert sim.verify_oracle(c, wrong).mismatches == (
+        (format(x, f"0{w}b"), format(table[x] ^ 1, f"0{w}b"), format(table[x], f"0{w}b")),)

@@ -265,6 +265,58 @@ def test_read_matches_bitwise_reference_at_both_ends():
         assert tbs._read(planes, at, full) == circ._from_msb_first(int(perm[at]), width)
 
 
+def reference_fix(planes, value, row, full, gates):
+    """``_fix`` with one AND of the value's planes before the set bits and one
+    of the row's planes before the cleared bits, each walked bit by bit."""
+    def controls(mask):
+        fire = full
+        for q in range(len(planes)):
+            if mask >> q & 1:
+                fire &= planes[q]
+        return fire
+
+    add = row & ~value
+    if add:
+        fire = controls(value)
+    for q in range(len(planes)):
+        if add >> q & 1:
+            planes[q] ^= fire
+            gates.append((q, value))
+            fire &= planes[q]
+            value |= 1 << q
+    drop = value & ~row
+    if drop:
+        fire = controls(row)
+    for q in range(len(planes)):
+        if drop >> q & 1:
+            planes[q] ^= fire
+            gates.append((q, row))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda w: st.tuples(
+    st.lists(st.integers(0, (1 << 40) - 1), min_size=w, max_size=w),
+    st.integers(0, (1 << w) - 1), st.integers(0, (1 << w) - 1))))
+def test_fix_matches_two_and_reference(case):
+    # Odd widths give ``_split`` halves of different sizes.
+    planes, value, row = case
+    full = (1 << 40) - 1
+    expected_planes, expected_gates = list(planes), []
+    reference_fix(expected_planes, value, row, full, expected_gates)
+    got_gates = []
+    tbs._fix(planes, value, row, full, got_gates, tbs._split(len(planes)))
+    assert planes == expected_planes
+    assert got_gates == expected_gates
+
+
+@pytest.mark.parametrize("width", range(13))
+def test_split_lists_every_masks_qubits(width):
+    half, lows, low, high = tbs._split(width)
+    for mask in range(1 << width):
+        assert low[mask & lows] + high[mask >> half] == \
+            tuple(q for q in range(width) if mask >> q & 1)
+
+
 @pytest.mark.parametrize("direction,row", [(tbs.UNIDIRECTIONAL, 6598), (tbs.BIDIRECTIONAL, 7989)],
                          ids=["unidirectional-6598", "bidirectional-7989"])
 def test_dense_width_15_permutation_hits_gate_limit_at_pinned_row(direction, row):
