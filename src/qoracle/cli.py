@@ -28,6 +28,8 @@ COMPLETIONS = ("hamming", "naive")
 #: The longest ``timeout_s`` accepted; ``setitimer`` overflows a few decades above it.
 MAX_TIMEOUT_S = 1e6
 DEFAULT_TIMEOUT_S = 600.0
+#: The most ``--shots`` accepted: numpy's multinomial sampler takes an int64 count.
+MAX_SHOTS = 2**63 - 1
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -253,7 +255,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_grover(args) -> int:
-    _require_positive("--shots", args.shots)
+    _require_positive("--shots", args.shots, MAX_SHOTS)
     if args.deck == bool(args.pla):
         raise QOracleError("choose exactly one of --deck --query ... or --pla FILE")
     if args.deck:
@@ -268,10 +270,10 @@ def _cmd_grover(args) -> int:
     if not marked:
         raise QOracleError("the predicate marks no states; nothing to search")
 
-    oracle = _run_with_timeout(DEFAULT_TIMEOUT_S, table, "esop", source=source).circuit
     n = table.n
     iterations = None if args.iterations == "auto" else int(args.iterations)
     plan = grover.plan_search(n, len(marked), iterations)
+    oracle = _run_with_timeout(DEFAULT_TIMEOUT_S, table, "esop", source=source).circuit
     search = grover.build_grover(oracle, plan.iterations)
     state = grover.search_state(search)
     probs = sim.marginal_probabilities(state, n)

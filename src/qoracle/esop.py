@@ -164,7 +164,7 @@ def spec_to_esop(spec: SpecTable) -> EsopCubeList:
 
 
 def _assemble(n: int, m: int, columns: list[list[tuple[int, int]]]) -> EsopCubeList:
-    """Merge per-column cube lists into rows in first-appearance order."""
+    """Merge per-column cube lists into rows, one per distinct cube, in first-appearance order."""
     marks: dict[tuple[int, int], int] = {}
     for j, cubes in enumerate(columns):
         bit = 1 << (m - 1 - j)
@@ -378,15 +378,16 @@ def minimize_esop(cubes: EsopCubeList) -> EsopCubeList:
 
     Each pass saturates distance-0 cancellation and distance-1 merging per
     output column, then tries conditional distance-2 rewrites; it stops
-    after a pass with no reduction or after ``MAX_PASSES`` passes.  The
-    result never has more cubes than the input.
+    after a pass with no reduction or after ``MAX_PASSES`` passes.  No step
+    adds a cube to a column, so the result never has more (cube, output)
+    pairs, and so never more gates, than the input.  It may have more rows,
+    as ``_assemble`` regroups the columns; the minimized list always ships.
     """
     columns = [_ColumnSet(cubes.n, column) for column in _column_cubes(cubes)]
     for _ in range(MAX_PASSES):
         if not any([_distance2_sweep(col) for col in columns if col.dirty]):
             break
-    result = _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
-    return cubes if len(result.cubes) > len(cubes.cubes) else result
+    return _assemble(cubes.n, cubes.m, [list(col.live.values()) for col in columns])
 
 
 def esop_to_circuit(cubes: EsopCubeList, method: str = "esop", source: str = "") -> Circuit:

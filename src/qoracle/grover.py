@@ -89,9 +89,11 @@ class GroverPlan:
 
 def plan_search(n: int, marked: int, iterations: int | None = None) -> GroverPlan:
     """Pick (or accept) an iteration count and predict its success rate."""
-    if iterations is not None and iterations < 0:
-        raise ValueError("iteration count cannot be negative")
-    r = optimal_iterations(1 << n, marked) if iterations is None else iterations
+    best = optimal_iterations(1 << n, marked)
+    period = math.ceil(math.pi / (2.0 * math.asin(math.sqrt(marked / (1 << n)))))
+    r = best if iterations is None else iterations
+    if not 0 <= r <= period:
+        raise ValueError(f"iterations must be from 0 to {period}, the success period, got {r}")
     return GroverPlan(
         marked_count=marked,
         iterations=r,

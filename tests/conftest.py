@@ -102,6 +102,11 @@ def xor_words(cubes: esop.EsopCubeList, xs: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def pairs(cubes: esop.EsopCubeList) -> int:
+    """The (cube, asserted output) pairs of an ESOP cube list: one gate each in its circuit."""
+    return sum(outs.bit_count() for _, _, outs in cubes.cubes)
+
+
 def as_cubes(cubes: esop.EsopCubeList) -> list[tuple[str, str]]:
     """The rows of an ESOP cube list rendered as 0/1/- (inputs, outputs) pairs."""
     return [(pla._literals(care, value, cubes.n), format(outs, f"0{cubes.m}b"))

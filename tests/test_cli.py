@@ -852,7 +852,7 @@ def test_grover_from_pla_file(tmp_path):
     assert top[0] == "11"
 
 
-@pytest.mark.parametrize("shots", ["0", "-3"])
+@pytest.mark.parametrize("shots", ["0", "-3", str(10**22)])
 def test_grover_rejects_shots_below_one(tmp_path, capsys, shots):
     predicate = tmp_path / "pred.pla"
     predicate.write_text(".i 2\n.o 1\n11 1\n.e\n")
@@ -860,6 +860,25 @@ def test_grover_rejects_shots_below_one(tmp_path, capsys, shots):
     code = main(["grover", "--pla", str(predicate), f"--shots={shots}", "--out", str(out)])
     _assert_usage_error(code, capsys, "--shots")
     assert not out.exists()
+
+
+def test_grover_bounds_iterations_by_the_success_period(tmp_path, capsys):
+    # rank=ace marks M = 4 of N = 64 cards: theta = 2 asin(1/4) and the
+    # success probability repeats every pi / theta = 6.22 iterations.
+    def grover_run(iterations, out):
+        return main(["grover", "--deck", "--query", "rank=ace", "--iterations", iterations,
+                     "--shots", "64", "--out", str(out)])
+
+    assert grover_run("7", tmp_path / "ok.csv") == 0
+    capsys.readouterr()
+    for iterations in ("8", str(10**12)):
+        out = tmp_path / f"{iterations}.csv"
+        assert grover_run(iterations, out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: iterations must be from 0 to 7, the success period, got {iterations}"]
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
 
 def test_grover_needs_exactly_one_source(tmp_path, capsys):
@@ -979,9 +998,9 @@ def _esop_of_min_duplication(table, partial=False, minimize=True):
 
 
 @pytest.mark.parametrize("options,checked,gates,complexity", [
-    ({}, 64, 476, 2488),
-    ({"dc_minimize": True}, 64, 1570, 10486),
-    ({"partial": True}, 42, 476, 2488),
+    ({}, 64, 383, 1779),
+    ({"dc_minimize": True}, 64, 517, 2169),
+    ({"partial": True}, 42, 383, 1779),
     ({"partial": True, "dc_minimize": True, "minimize": False}, 42, 1570, 10486),
 ], ids=["default", "dc-minimize", "partial", "partial-dc-minimize-unminimized"])
 def test_esop_on_more_than_63_outputs(options, checked, gates, complexity):

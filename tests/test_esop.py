@@ -14,7 +14,7 @@ from qoracle import circuit as circ
 from qoracle import cli, esop, pla, sim
 from qoracle.errors import SynthesisTimeout
 
-from conftest import (apply_classical, as_cubes, cube, from_cubes, gate_controls,
+from conftest import (apply_classical, as_cubes, cube, from_cubes, gate_controls, pairs,
                       pla_tables, table_from_spec, xor_words)
 
 
@@ -130,7 +130,32 @@ def test_minimize_preserves_xor_semantics(table):
     cubes = esop.sop_to_esop(table)
     result = esop.minimize_esop(cubes)
     assert truth_table(result) == truth_table(cubes)
-    assert len(result.cubes) <= len(cubes.cubes)
+    assert pairs(result) <= pairs(cubes)
+
+
+def test_minimize_ships_fewer_pairs_in_more_rows():
+    # Output 1 keeps cube 0 and output 3 keeps cube 1, while output 2's 0
+    # and 1 merge into -.  Regrouped by cube that is three rows where the
+    # input had two, but three pairs where it had four: three gates, not four.
+    table = pla.parse_pla(".i 1\n.o 3\n.type f\n0 110\n1 001\n1 010\n.e")
+    cubes = esop.sop_to_esop(table)
+    assert cubes.cubes == [(1, 0, 0b110), (1, 1, 0b011)]
+    result = esop.minimize_esop(cubes)
+    assert result.cubes == [(1, 0, 0b100), (0, 0, 0b010), (1, 1, 0b001)]
+    assert (len(result.cubes), pairs(result)) == (3, 3)
+    assert len(esop.esop_to_circuit(result).gates) == 3
+    assert truth_table(result) == truth_table(cubes)
+
+
+def test_apex4_esop_ships_the_minimized_cubes(bench_tables):
+    # apex4's 1580 rows (2253 pairs) minimize to more rows but fewer pairs,
+    # and the minimized list is what ships.
+    cubes = esop.sop_to_esop(bench_tables["apex4"])
+    minimized = esop.minimize_esop(cubes)
+    assert (len(cubes.cubes), pairs(cubes)) == (1580, 2253)
+    assert (len(minimized.cubes), pairs(minimized)) == (1598, 1882)
+    r = cli.run_synthesis(bench_tables["apex4"], "esop", source="apex4").report
+    assert (r.qubits, r.gate_count, r.complexity) == (28, 6392, 20843)
 
 
 def test_cubes_are_mask_rows_counted_by_len():
@@ -239,7 +264,7 @@ def test_wide_inputs_keep_xor_semantics(drawn):
     n, m = table.n, table.m
     converted = esop.sop_to_esop(table)
     minimized = esop.minimize_esop(converted)
-    assert len(minimized.cubes) <= len(converted.cubes)
+    assert pairs(minimized) <= pairs(converted)
     circuit = esop.esop_to_circuit(minimized)
     assert circuit.width == n + m
     for _ in range(300):
@@ -288,7 +313,7 @@ def minterm_lists(draw):
 def test_minimize_minterm_columns_keeps_xor_semantics(cubes):
     result = esop.minimize_esop(cubes)
     assert np.array_equal(xor_words(result), xor_words(cubes))
-    assert len(result.cubes) <= len(cubes.cubes)
+    assert pairs(result) <= pairs(cubes)
 
 
 def test_minimize_wide_minterm_column_keeps_xor_semantics():
@@ -300,7 +325,7 @@ def test_minimize_wide_minterm_column_keeps_xor_semantics():
     points = [base ^ sum(rng.sample(free, rng.randint(0, 6))) for _ in range(80)]
     cubes = esop.EsopCubeList(n, 2, [(full, x, rng.randint(1, 3)) for x in points])
     result = esop.minimize_esop(cubes)
-    assert len(result.cubes) < len(cubes.cubes)
+    assert pairs(result) < pairs(cubes)
     samples = points + [x ^ bit for x in points[:10] for bit in free] + [
         rng.getrandbits(n) for _ in range(200)]
     for x in samples:

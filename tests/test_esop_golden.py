@@ -45,8 +45,8 @@ GOLDEN = [
      "1ee2e6e5f6ca674caf460ec9b7e1296e9723863345e104dbe17a3e4dbd806755",
      "a7a2907c0c9d4f3e2d544ef1dacca9b8da11c9838dc4c7fc41400ca646c60812"),
     ("apex4", "esop", "ok",
-     "b81802fbb99cd15b748d8669cb01008e656d5d4871d8e3f3adc3479f252d5a5f",
-     "2441669d308ffa523c5d567ed59ff51ade5ea74f1310462582ba3b5ec6bbfd29"),
+     "95424f129daf8e4597cfd4b0af6b1bc23bc0f71cc19e127e9fa0f3d1bf7a625d",
+     "300a7b7f626b905af247c35be0ea742bda809fd22af9f4c07e6ea84a3470987f"),
     ("apex4", "esop-rtt", "too_large", None, None),
     ("b11", "esop", "ok",
      "c337f57d8706f655997423ad2553955981a2655c24c22cb657f1db7189b747a2",

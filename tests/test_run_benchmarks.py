@@ -79,11 +79,16 @@ def test_against_fails_when_the_trees_differ_in_quality(tmp_path, capsys):
     bench = _two_files(tmp_path)
     # The base tree skips minimization, so its esop circuits have more gates.
     base = _base_copy(tmp_path, "esop.py", "\n\ndef minimize_esop(cubes):\n    return cubes\n")
+    # Each differing item is named once, and every pass is still timed.
     assert _load_script().compare(base, bench, ["esop"], 2) == 1
     out, err = capsys.readouterr()
-    assert out == ""
     assert re.fullmatch(r"f51m/esop: change gives \('ok', 16, \d+, \d+, \d+\), "
-                        r"base gives \('ok', 16, \d+, \d+, \d+\)\n", err)
+                        r"base gives \('ok', 16, \d+, \d+, \d+\)\n"
+                        r"squar5/esop: change gives \('ok', 13, \d+, \d+, \d+\), "
+                        r"base gives \('ok', 13, \d+, \d+, \d+\)\n", err)
+    title, header, *rows = out.splitlines()
+    assert title.endswith("2 passes over 2 files, change/base time per pass")
+    assert [row.split()[0] for row in rows] == ["esop", "all"]
 
 
 def test_against_times_only_methods_both_trees_have(tmp_path, capsys):
