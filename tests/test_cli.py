@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -838,6 +839,33 @@ def test_grover_histogram_is_byte_deterministic(tmp_path):
             "--shots", "1024", "--seed", "3", "--out", str(out),
         ]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args,digest,summary", [
+    (["--deck", "--query", "suit=diamonds,rank=10", "--iterations", "6"],
+     "fe446a1cad1bd7e27426209cdfa9944de3e61d2bb8ccd1ebad9e552a53948e43",
+     "iterations=6 marked=1 predicted=0.9966 measured=0.9961"),
+    (["--deck", "--query", "suit=clubs"],
+     "307a447f25d47ba26563de8ed0501d33118b64f5c4c0fa99e68dbceebe123191",
+     "iterations=1 marked=16 predicted=1.0000 measured=1.0000"),
+    (["--deck", "--query", "rank=ace", "--iterations", "0", "--shots", "5000", "--seed", "3"],
+     "4498b7a1bd39d2b0344ad0c2aadc33621a51cdd688fde285cac9c30e2cb19652",
+     "iterations=0 marked=4 predicted=0.0625 measured=0.0598"),
+    (["--pla", "PREDICATE", "--shots", "777", "--seed", "11"],
+     "9343d0d6b0db8d2e538165ad7c4013e7a8b0524311ef92ec7e3d3d3c7f0a6ac6",
+     "iterations=1 marked=5 predicted=0.9570 measured=0.9614"),
+    (["--deck", "--query", "suit=hearts", "--iterations", "2", "--shots", "100000"],
+     "7997e16bbfa086a143cba19d44b9388ef04bd5eb538fb074c47af85a62bbfa34",
+     "iterations=2 marked=16 predicted=0.2500 measured=0.2507"),
+], ids=["diamonds-10", "clubs", "ace-unsearched", "pla-4-inputs", "hearts-100k"])
+def test_grover_output_is_pinned(tmp_path, capsys, args, digest, summary):
+    predicate = tmp_path / "pred.pla"
+    predicate.write_text(".i 4\n.o 1\n1-0- 1\n0011 1\n.e\n")
+    out = tmp_path / "h.csv"
+    args = [str(predicate) if a == "PREDICATE" else a for a in args]
+    assert main(["grover", *args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [summary]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_grover_from_pla_file(tmp_path):
