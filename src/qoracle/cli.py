@@ -167,7 +167,7 @@ def bench_row(task: tuple[str, str, float, str]) -> list:
 def _require_positive(flag: str, value: float, most: float = math.inf) -> None:
     """Reject zero, negative, infinite and NaN values, and values above ``most``."""
     if not 0 < value < math.inf or value > most:
-        limit = f" and at most {most:g}" if most < math.inf else ""
+        limit = f" and at most {most}" if most < math.inf else ""
         raise ValueError(f"{flag} must be a finite number above 0{limit}, got {value}")
 
 
@@ -256,6 +256,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_grover(args) -> int:
     _require_positive("--shots", args.shots, MAX_SHOTS)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer from 0, got {args.seed}")
     if args.deck == bool(args.pla):
         raise QOracleError("choose exactly one of --deck --query ... or --pla FILE")
     if args.deck:
@@ -266,34 +268,31 @@ def _cmd_grover(args) -> int:
         source = Path(args.pla).stem
     if table.m != 1:
         raise QOracleError("search predicates need exactly one output")
-    marked = [x for x, value in enumerate(pla.expand(table).entries.tolist()) if value == 1]
-    if not marked:
+    marked = (pla.expand(table).entries == 1).nonzero()[0]
+    if not len(marked):
         raise QOracleError("the predicate marks no states; nothing to search")
 
     n = table.n
-    iterations = None if args.iterations == "auto" else int(args.iterations)
-    plan = grover.plan_search(n, len(marked), iterations)
+    plan = grover.plan_search(n, len(marked))
+    if args.iterations != "auto":
+        if not args.iterations.isdecimal() or int(args.iterations) > plan.period:
+            raise ValueError(f"--iterations must be auto or from 0 to {plan.period}, "
+                             f"the success period, got {args.iterations}")
+        plan = grover.plan_search(n, len(marked), int(args.iterations))
     oracle = _run_with_timeout(DEFAULT_TIMEOUT_S, table, "esop", source=source).circuit
     search = grover.build_grover(oracle, plan.iterations)
     state = grover.search_state(search)
     probs = sim.marginal_probabilities(state, n)
-
-    counts_full = sim.sample(state, args.shots, args.seed)
-    counts: dict[str, int] = {}
-    for bits, count in counts_full.items():
-        key = bits[:n]
-        counts[key] = counts.get(key, 0) + count
-    measured = sum(counts.get(format(x, f"0{n}b"), 0) for x in marked) / args.shots
-    predicted = plan.predicted
-
-    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    # The output qubit is the low bit of each basis-state index.
+    counts = sim.sample(state, args.shots, args.seed).reshape(1 << n, -1).sum(axis=1)
+    seen = counts.nonzero()[0]
     lines = ["bitstring,count,probability"]
-    for bits, count in rows:
-        lines.append(f"{bits},{count},{probs[int(bits, 2)]:.6f}")
+    for x in seen[(-counts[seen]).argsort(kind="stable")].tolist():
+        lines.append(f"{x:0{n}b},{counts[x]},{probs[x]:.6f}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(
         f"iterations={plan.iterations} marked={plan.marked_count} "
-        f"predicted={predicted:.4f} measured={measured:.4f}"
+        f"predicted={plan.predicted:.4f} measured={counts[marked].sum() / args.shots:.4f}"
     )
     return EXIT_OK
 

@@ -34,26 +34,24 @@ class CardQuery:
 
 def parse_query(text: str) -> CardQuery:
     """Parse 'suit=<name>,rank=<name>' query strings; refusals raise ``QOracleError``."""
-    suit = rank = None
+    codes = {"suit": SUIT_CODES, "rank": RANK_CODES}
+    found: dict[str, int] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         key, _, value = part.partition("=")
         key, value = key.strip().lower(), value.strip().lower()
-        if key == "suit":
-            if value not in SUIT_CODES:
-                raise QOracleError(f"unknown suit {value!r}")
-            suit = SUIT_CODES[value]
-        elif key == "rank":
-            if value not in RANK_CODES:
-                raise QOracleError(f"unknown rank {value!r}")
-            rank = RANK_CODES[value]
-        else:
+        if key not in codes:
             raise QOracleError(f"unknown query key {key!r}")
-    if suit is None and rank is None:
+        if key in found:
+            raise QOracleError(f"repeated query key {key!r}")
+        if value not in codes[key]:
+            raise QOracleError(f"unknown {key} {value!r}")
+        found[key] = codes[key][value]
+    if not found:
         raise QOracleError("query needs a suit, a rank, or both")
-    return CardQuery(suit=suit, rank=rank)
+    return CardQuery(**found)
 
 
 def card_query_to_pla(query: CardQuery) -> PlaTable:
@@ -85,6 +83,8 @@ class GroverPlan:
     marked_count: int
     iterations: int
     predicted: float
+    #: Iterations after which the success probability repeats, ceil(pi / theta).
+    period: int
 
 
 def plan_search(n: int, marked: int, iterations: int | None = None) -> GroverPlan:
@@ -98,6 +98,7 @@ def plan_search(n: int, marked: int, iterations: int | None = None) -> GroverPla
         marked_count=marked,
         iterations=r,
         predicted=predicted_success(1 << n, marked, r),
+        period=period,
     )
 
 

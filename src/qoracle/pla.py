@@ -120,49 +120,36 @@ def _word_dtype(bits: int) -> type:
 
 
 def parse_pla(text: str) -> PlaTable:
-    """Parse .pla text into a table, preserving cube order."""
+    """Parse .pla text into a table, preserving cube order.
+
+    Each directive may appear at most once, and ``.e`` ends the read.
+    """
+    directives: dict[str, list[str]] = {}
     n = m = None
-    declared_count = None
-    kind = KIND_FD
-    ilb = ob = None
     cubes: list[Row] = []
-    ended = False
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line or ended:
+        if not line:
             continue
-        if line.startswith("."):
-            fields = line.split()
-            key = fields[0]
+        fields = line.split()
+        key = fields[0]
+        if key.startswith("."):
             if key not in _DIRECTIVES:
                 raise QOracleError(f"unsupported directive {key}")
-            if key in (".i", ".o", ".p"):
-                if len(fields) != 2 or not fields[1].isdecimal():
-                    raise QOracleError(f"malformed {key} directive: {line!r}")
-                if (key == ".i" and n is not None) or (key == ".o" and m is not None):
-                    raise QOracleError(f"repeated {key} directive: {line!r}")
-                count = int(fields[1])
-                if key == ".i":
-                    n = count
-                elif key == ".o":
-                    m = count
-                else:
-                    declared_count = count
-            elif key == ".ilb":
-                ilb = fields[1:]
-            elif key == ".ob":
-                ob = fields[1:]
-            elif key == ".type":
-                if len(fields) != 2 or fields[1].lower() not in (KIND_F, KIND_FD):
-                    raise QOracleError(f"unsupported table type in {line!r}")
-                kind = fields[1].lower()
-            elif key == ".e":
-                ended = True
+            if key in (".i", ".o", ".p") and (len(fields) != 2 or not fields[1].isdecimal()):
+                raise QOracleError(f"malformed {key} directive: {line!r}")
+            if key == ".type" and (len(fields) != 2 or fields[1].lower() not in (KIND_F, KIND_FD)):
+                raise QOracleError(f"unsupported table type in {line!r}")
+            if key in directives:
+                raise QOracleError(f"repeated {key} directive: {line!r}")
+            if key == ".e":
+                break
+            directives[key] = fields[1:]
+            n, m = (int(directives[k][0]) if k in directives else None for k in (".i", ".o"))
             continue
         if n is None or m is None:
             raise QOracleError("cube line before .i/.o declarations")
-        fields = line.split()
         if len(fields) != 2:
             raise QOracleError(f"expected '<inputs> <outputs>', got {line!r}")
         ins, outs = fields
@@ -175,12 +162,15 @@ def parse_pla(text: str) -> PlaTable:
 
     if n is None or m is None:
         raise QOracleError("missing .i/.o declarations")
-    if declared_count is not None and declared_count != len(cubes):
+    declared_count = int(directives.get(".p", [len(cubes)])[0])
+    if declared_count != len(cubes):
         raise QOracleError(f".p {declared_count} but {len(cubes)} cubes parsed")
+    ilb, ob = directives.get(".ilb"), directives.get(".ob")
     if ilb is not None and len(ilb) != n:
         raise QOracleError(".ilb label count does not match .i")
     if ob is not None and len(ob) != m:
         raise QOracleError(".ob label count does not match .o")
+    kind = directives.get(".type", [KIND_FD])[0].lower()
     return PlaTable(n=n, m=m, cubes=cubes, kind=kind, input_labels=ilb, output_labels=ob)
 
 

@@ -193,22 +193,12 @@ def apply_statevector(circuit: Circuit, state: StateVector) -> StateVector:
     return StateVector(width, v.reshape(-1))
 
 
-def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
-    """Seeded multinomial sampling; identical seeds give identical histograms."""
+def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """Seeded multinomial counts indexed like the amplitudes; equal seeds give equal counts."""
     probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {
-        format(int(i), f"0{state.width}b"): int(counts[i])
-        for i in np.flatnonzero(counts)
-    }
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def marginal_probabilities(state: StateVector, keep: int) -> np.ndarray:
-    """Probabilities of the first ``keep`` qubits, traced over the rest."""
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs.reshape([2] * state.width)
-    for _ in range(state.width - keep):
-        probs = probs.sum(axis=-1)
-    return probs.reshape(-1)
+    """Probabilities of the first ``keep`` qubits (the top index bits), traced over the rest."""
+    return (np.abs(state.amplitudes) ** 2).reshape(1 << keep, -1).sum(axis=1)

@@ -195,8 +195,8 @@ def test_criterion_07_grover_diamonds():
     search = grover.build_grover(_card_oracle("suit=diamonds,rank=10"), 6)
     state = grover.search_state(search)
     prob = float(sim.marginal_probabilities(state, 6)[0b101010])
-    counts = sim.sample(state, 1024, seed=7)
-    correct = sum(c for bits, c in counts.items() if bits.startswith("101010"))
+    counts = sim.sample(state, 1024, seed=7).reshape(1 << 6, -1).sum(axis=1)
+    correct = int(counts[0b101010])
     ok = abs(prob - 0.9966) < 1e-3 and correct >= 980
     report_line(7, "diamonds search: probability and 1024-shot sampling", ok,
                 f"p={prob:.4f} correct_shots={correct}")

@@ -899,14 +899,30 @@ def test_grover_bounds_iterations_by_the_success_period(tmp_path, capsys):
 
     assert grover_run("7", tmp_path / "ok.csv") == 0
     capsys.readouterr()
-    for iterations in ("8", str(10**12)):
+    for iterations in ("8", str(10**12), "abc", "3.5", "-1"):
         out = tmp_path / f"{iterations}.csv"
         assert grover_run(iterations, out) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            f"error: iterations must be from 0 to 7, the success period, got {iterations}"]
+            f"error: --iterations must be auto or from 0 to 7, the success period, "
+            f"got {iterations}"]
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--shots", str(2**63)],
+     "--shots must be a finite number above 0 and at most 9223372036854775807, "
+     "got 9223372036854775808"),
+    (["--seed", "-1"], "--seed must be an integer from 0, got -1"),
+], ids=["shots-above-int64", "negative-seed"])
+def test_grover_refusals_state_their_limit(tmp_path, capsys, extra, message):
+    out = tmp_path / "h.csv"
+    assert main(["grover", "--deck", "--query", "rank=ace", *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in captured.out
+    assert not out.exists()
 
 
 def test_grover_needs_exactly_one_source(tmp_path, capsys):

@@ -53,7 +53,8 @@ def test_parse_query_strings():
     ("colour=red", "unknown query key 'colour'"),
     ("", "query needs a suit, a rank, or both"),
     (" , ", "query needs a suit, a rank, or both"),
-], ids=["unknown-suit", "unknown-rank", "unknown-key", "empty", "blank-parts"])
+    ("suit=hearts,suit=clubs", "repeated query key 'suit'"),
+], ids=["unknown-suit", "unknown-rank", "unknown-key", "empty", "blank-parts", "repeated-key"])
 def test_malformed_queries_are_refused(tmp_path, capsys, query, message):
     with pytest.raises(QOracleError, match=message):
         grover.parse_query(query)
@@ -137,4 +138,6 @@ def test_predicted_matches_measured_over_grid():
 def test_sampling_reproducible():
     search = grover.build_grover(oracle_for("suit=diamonds,rank=10"), 6)
     state = grover.search_state(search)
-    assert sim.sample(state, 1024, seed=11) == sim.sample(state, 1024, seed=11)
+    a = sim.sample(state, 1024, seed=11)
+    assert np.array_equal(a, sim.sample(state, 1024, seed=11))
+    assert a.sum() == 1024

@@ -93,6 +93,14 @@ def test_parse_malformed_directives():
         pla.parse_pla(".i 2\n.o 2\n01 11\n.o 3\n.e")
     with pytest.raises(QOracleError, match="unsupported table type in '.type fr'"):
         pla.parse_pla(".i 1\n.o 1\n.type fr\n1 1\n.e")
+    with pytest.raises(QOracleError, match="repeated .p directive: '.p 1'"):
+        pla.parse_pla(".i 1\n.o 1\n.p 1\n.p 1\n1 1\n.e")
+    with pytest.raises(QOracleError, match="repeated .type directive: '.type f'"):
+        pla.parse_pla(".i 1\n.o 1\n.type fd\n.type f\n1 1\n.e")
+    with pytest.raises(QOracleError, match="repeated .ob directive: '.ob b'"):
+        pla.parse_pla(".i 1\n.o 1\n.ob a\n.ob b\n1 1\n.e")
+    with pytest.raises(QOracleError, match="repeated .ilb directive: '.ilb a b'"):
+        pla.parse_pla(".i 2\n.o 1\n.ilb a\n11 1\n.ilb a b\n.e")
 
 
 def test_parse_labels_and_type():
